@@ -9,9 +9,13 @@ Conventions shared by every function here:
   * The SC approximation is an elementary expression; EGC and MRC come out
     as lower tails of a noncentral chi-squared law (complement of a
     generalized Marcum-Q of order L/2).
-  * Everything is evaluated in log-space internally, so L = 8 with mixing
-    weight a = 10^3 neither overflows nor underflows; *_log10
-    variants expose the log value directly for deep-tail comparisons.
+  * The forms are written in w = 1/a in [0, 1), where the powers of a
+    cancel. rho = 0 (a = None) is the point w = 0 of the same expressions,
+    not a separate code path; the *_indep functions evaluate that point.
+    EGC, MRC and the sum-CDF share one noncentral chi-squared arm map.
+  * Everything is evaluated in log-space, so L = 8 with mixing weight
+    a = 10^3 neither overflows nor underflows; the linear and *_log10
+    variants are views of the same log value.
   * Below the validity region of an approximation a typed
     BelowAsymptoticRegimeError is raised carrying the smallest valid Er,
     so grid sweeps can annotate pre-asymptotic points instead of dropping
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import DerivedParams, log_det_mixing
+from .channel import ChannelSpec, DerivedParams, a_from_rho, log_det_mixing
 from .errors import BelowAsymptoticRegimeError, DegenerateGeometryError, DomainError
 from .special_fn import gaussian_q, marcum_q_complement_log
 
@@ -51,14 +55,16 @@ class OutageQuery:
             raise DomainError(f"er must be finite and > 0 watts, got {self.er!r}")
 
 
-def _require_correlated(params: DerivedParams, what: str) -> float:
-    if params.independent:
-        raise DomainError(f"{what} needs correlated-mode parameters (rho > 0)")
+def _weight(params: DerivedParams) -> float:
+    """w = 1/a in [0, 1): the closed forms below are written in w, so the
+    independent channel (a = None) is the point w = 0 of the same formulas."""
+    if params.a is None:
+        return 0.0
     if params.a <= 1.0:
         raise DegenerateGeometryError(
-            f"{what} is undefined for fully correlated channels (a = 1); "
+            "the asymptotic forms are undefined for fully correlated channels (a = 1); "
             "model them as a single branch with scaled power")
-    return params.a
+    return 1.0 / params.a
 
 
 def _sc_z(q: OutageQuery, sigma_g: float) -> float:
@@ -71,50 +77,42 @@ def _sc_z(q: OutageQuery, sigma_g: float) -> float:
     return z
 
 
-def _sc_ln(params: DerivedParams, q: OutageQuery) -> float:
-    a, L, sg = params.a, params.L, params.sigma_G
-    z = _sc_z(q, sg)
-    a2 = a * a + L - 1.0
-    ln_p = (-log_det_mixing(a, L)
-            - 0.5 * L * _LN_2PI
-            + 0.5 * L * math.log(sg * sg / a2)
-            + L * (2.0 * math.log(a + L - 1.0) - math.log(z))
-            - (L * a2 / (2.0 * sg * sg)) * (z / (a + L - 1.0)) ** 2)
-    return ln_p
+def _sc_coefficients(L: int, w: float, sigma_g: float) -> tuple[float, float]:
+    """(c, Od) of ln P_SC = L ln(sigma_G/z) - (L/2) ln 2pi + c - Od z^2.
+    With s = 1+(L-1)w and s2 = 1+(L-1)w^2 the powers of a cancel; at w = 0
+    the correlation term c is exactly 0 and Od = L/(2 sigma_G^2), the
+    L-th power of the one-branch Gaussian tail."""
+    s, s2 = 1.0 + (L - 1) * w, 1.0 + (L - 1) * w * w
+    c = (2 * L - 1) * math.log(s) - 0.5 * L * math.log(s2) - (L - 1) * math.log1p(-w)
+    return c, L * s2 / (2.0 * sigma_g * sigma_g * s * s)
 
 
-def _sc_indep_ln(L: int, sigma_g: float, q: OutageQuery) -> float:
+def _sc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
     z = _sc_z(q, sigma_g)
-    return (L * (math.log(sigma_g) - math.log(z))
-            - 0.5 * L * _LN_2PI
-            - (L / (2.0 * sigma_g ** 2)) * z * z)
+    c, od = _sc_coefficients(L, w, sigma_g)
+    # Grouped as the printed independent form, so w = 0 reproduces it bit for bit.
+    return L * (math.log(sigma_g) - math.log(z)) - 0.5 * L * _LN_2PI + c - od * z * z
 
 
 def sc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
-    """High-SNR SC outage over correlated branches; dispatches to the
-    independent closed form when params are in independent mode.
+    """High-SNR SC outage over equally correlated branches (rho = 0
+    included, as w = 0).
 
     The value is the approximation exactly as derived (no re-simplification
     of its higher-order terms); immediately above the validity threshold it
     can exceed 1 and is not yet a meaningful probability there.
     """
-    if params.independent:
-        return sc_outage_asym_indep(params.L, params.sigma_G, q)
-    _require_correlated(params, "SC asymptotic outage")
-    return math.exp(_sc_ln(params, q))
+    return math.exp(_sc_ln(params.L, _weight(params), params.sigma_G, q))
 
 
 def sc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
-    if params.independent:
-        return _sc_indep_ln(params.L, params.sigma_G, q) / _LN10
-    _require_correlated(params, "SC asymptotic outage")
-    return _sc_ln(params, q) / _LN10
+    return _sc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
 
 
 def sc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
-    """Independent-channel specialization of the SC form: the L-th power of
-    the one-branch Gaussian tail approximation."""
-    return math.exp(_sc_indep_ln(L, sigma_G, q))
+    """The SC form at rho = 0: the L-th power of the one-branch Gaussian
+    tail approximation."""
+    return math.exp(_sc_ln(L, 0.0, sigma_G, q))
 
 
 def sc_outage_asym_latent(a: float, L: int, mu_X: float, sigma_X: float,
@@ -135,123 +133,75 @@ def sc_outage_asym_latent(a: float, L: int, mu_X: float, sigma_X: float,
     return math.exp(ln_p)
 
 
-def _egc_args(params: DerivedParams, q: OutageQuery) -> tuple[float, float]:
-    a, L, sg = params.a, params.L, params.sigma_G
-    nu = sg / math.sqrt(a * a + L - 1.0)
-    h = (L - 1.0 + a) / (1.0 - a) ** 2
-    z_e = 0.5 * math.log(L * q.er / q.gamma_th) - sg ** 2
-    first = math.sqrt(L) * (z_e / (a + L - 1.0) + h) / nu
-    second = math.sqrt(L) * h / nu
-    if first <= 0.0:
-        min_er = (q.gamma_th / L) * math.exp(2.0 * sg ** 2 - 2.0 * h * (a + L - 1.0))
-        raise BelowAsymptoticRegimeError(
-            f"below the EGC asymptotic regime: need Er > {min_er:.6g} W", min_er)
-    return first, second
+def _ncx2_arms(L: int, w: float, sigma_g: float, z: float,
+               c: float) -> tuple[float, float, float]:
+    """Noncentral chi-squared arms k(z/s + h) and k*h shared by EGC (c = 1),
+    MRC (c = 1/2) and the sum-CDF (EGC at z = ln L + mu_G - ln y), with
+    k = sqrt(L*s2)/sigma_G and h = c*s/(1-w)^2. The third value is the
+    regime edge -h*s: the form is defined only for z above it."""
+    s, s2 = 1.0 + (L - 1) * w, 1.0 + (L - 1) * w * w
+    k = math.sqrt(L * s2) / sigma_g
+    h = c * s / (1.0 - w) ** 2
+    return k * (z / s + h), k * h, -h * s
 
 
-def _egc_indep_args(L: int, sigma_G: float, q: OutageQuery) -> tuple[float, float]:
-    z_e = 0.5 * math.log(L * q.er / q.gamma_th) - sigma_G ** 2
-    first = math.sqrt(L) / sigma_G * (z_e + 1.0)
+def _combiner_ln(L: int, w: float, sigma_g: float, q: OutageQuery,
+                 c: float, name: str) -> float:
+    z = 0.5 * math.log(L * q.er / q.gamma_th) - sigma_g ** 2
+    first, second, z_edge = _ncx2_arms(L, w, sigma_g, z, c)
     if first <= 0.0:
-        min_er = (q.gamma_th / L) * math.exp(2.0 * sigma_G ** 2 - 2.0)
+        min_er = (q.gamma_th / L) * math.exp(2.0 * (sigma_g ** 2 + z_edge))
         raise BelowAsymptoticRegimeError(
-            f"below the EGC asymptotic regime: need Er > {min_er:.6g} W", min_er)
-    return first, math.sqrt(L) / sigma_G
+            f"below the {name} asymptotic regime: need Er > {min_er:.6g} W", min_er)
+    return marcum_q_complement_log(0.5 * L, first, second)
+
+
+def _egc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
+    return _combiner_ln(L, w, sigma_g, q, 1.0, "EGC")
+
+
+def _mrc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
+    return _combiner_ln(L, w, sigma_g, q, 0.5, "MRC")
 
 
 def egc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     """High-SNR EGC outage: lower noncentral chi-squared tail of order L/2."""
-    if params.independent:
-        return egc_outage_asym_indep(params.L, params.sigma_G, q)
-    _require_correlated(params, "EGC asymptotic outage")
-    first, second = _egc_args(params, q)
-    return math.exp(marcum_q_complement_log(0.5 * params.L, first, second))
+    return math.exp(_egc_ln(params.L, _weight(params), params.sigma_G, q))
 
 
 def egc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
-    if params.independent:
-        first, second = _egc_indep_args(params.L, params.sigma_G, q)
-    else:
-        _require_correlated(params, "EGC asymptotic outage")
-        first, second = _egc_args(params, q)
-    return marcum_q_complement_log(0.5 * params.L, first, second) / _LN10
+    return _egc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
 
 
 def egc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
-    first, second = _egc_indep_args(L, sigma_G, q)
-    return math.exp(marcum_q_complement_log(0.5 * L, first, second))
-
-
-def _mrc_args(params: DerivedParams, q: OutageQuery) -> tuple[float, float]:
-    a, L, sg = params.a, params.L, params.sigma_G
-    nu = sg / math.sqrt(a * a + L - 1.0)
-    h = (L - 1.0 + a) / (1.0 - a) ** 2
-    z_m = math.log(L * q.er / q.gamma_th) - 2.0 * sg ** 2
-    first = math.sqrt(L) * (z_m / (a + L - 1.0) + h) / (2.0 * nu)
-    second = math.sqrt(L) * h / (2.0 * nu)
-    if first <= 0.0:
-        min_er = (q.gamma_th / L) * math.exp(2.0 * sg ** 2 - h * (a + L - 1.0))
-        raise BelowAsymptoticRegimeError(
-            f"below the MRC asymptotic regime: need Er > {min_er:.6g} W", min_er)
-    return first, second
-
-
-def _mrc_indep_args(L: int, sigma_G: float, q: OutageQuery) -> tuple[float, float]:
-    z_m = math.log(L * q.er / q.gamma_th) - 2.0 * sigma_G ** 2
-    first = math.sqrt(L) / (2.0 * sigma_G) * (z_m + 1.0)
-    if first <= 0.0:
-        min_er = (q.gamma_th / L) * math.exp(2.0 * sigma_G ** 2 - 1.0)
-        raise BelowAsymptoticRegimeError(
-            f"below the MRC asymptotic regime: need Er > {min_er:.6g} W", min_er)
-    return first, math.sqrt(L) / (2.0 * sigma_G)
+    return math.exp(_egc_ln(L, 0.0, sigma_G, q))
 
 
 def mrc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
-    """High-SNR MRC outage; same noncentral chi-squared structure as EGC
-    with the latent scale doubled and the threshold mapped accordingly."""
-    if params.independent:
-        return mrc_outage_asym_indep(params.L, params.sigma_G, q)
-    _require_correlated(params, "MRC asymptotic outage")
-    first, second = _mrc_args(params, q)
-    return math.exp(marcum_q_complement_log(0.5 * params.L, first, second))
+    """High-SNR MRC outage: the EGC noncentral chi-squared tail with the
+    offset h halved."""
+    return math.exp(_mrc_ln(params.L, _weight(params), params.sigma_G, q))
 
 
 def mrc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
-    if params.independent:
-        first, second = _mrc_indep_args(params.L, params.sigma_G, q)
-    else:
-        _require_correlated(params, "MRC asymptotic outage")
-        first, second = _mrc_args(params, q)
-    return marcum_q_complement_log(0.5 * params.L, first, second) / _LN10
+    return _mrc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
 
 
 def mrc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
-    first, second = _mrc_indep_args(L, sigma_G, q)
-    return math.exp(marcum_q_complement_log(0.5 * L, first, second))
+    return math.exp(_mrc_ln(L, 0.0, sigma_G, q))
 
 
-def _sum_cdf_args(L: int, rho: float, mu_G: float, sigma_G: float,
-                  y: float, a_from_rho) -> tuple[float, float]:
+def _sum_cdf_ln(L: int, rho: float, mu_G: float, sigma_G: float, y: float) -> float:
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"sum-CDF argument y must be finite and > 0, got {y!r}")
-    u = math.log(L) + mu_G - math.log(y)
-    if rho == 0.0:
-        first = math.sqrt(L) / sigma_G * (u + 1.0)
-        second = math.sqrt(L) / sigma_G
-        max_y = math.exp(math.log(L) + mu_G + 1.0)
-    else:
-        a = a_from_rho(rho, L)
-        if a <= 1.0:
-            raise DegenerateGeometryError("sum-CDF tail form requires rho < 1")
-        nu = sigma_G / math.sqrt(a * a + L - 1.0)
-        h = (L - 1.0 + a) / (1.0 - a) ** 2
-        first = math.sqrt(L) * (u / (a + L - 1.0) + h) / nu
-        second = math.sqrt(L) * h / nu
-        max_y = math.exp(math.log(L) + mu_G + h * (a + L - 1.0))
+    ChannelSpec(L=L, rho=rho, sigma_G=sigma_G, mu_G=mu_G)   # the channel's input checks
+    w = 1.0 / a_from_rho(rho, L) if rho > 0.0 else 0.0
+    first, second, z_edge = _ncx2_arms(L, w, sigma_G, math.log(L) + mu_G - math.log(y), 1.0)
     if first <= 0.0:
+        max_y = math.exp(math.log(L) + mu_G - z_edge)
         raise BelowAsymptoticRegimeError(
             f"sum-CDF tail form is only valid left of y = {max_y:.6g}", max_y)
-    return first, second
+    return marcum_q_complement_log(0.5 * L, first, second)
 
 
 def sum_lognormal_cdf_asym(L: int, rho: float, mu_G: float, sigma_G: float,
@@ -259,16 +209,12 @@ def sum_lognormal_cdf_asym(L: int, rho: float, mu_G: float, sigma_G: float,
     """Left-tail CDF approximation of Y = sum_l exp(G_l) for equally
     correlated exponents; algebraically the EGC outage re-anchored at
     y = sqrt(L * gamma_th)."""
-    from .channel import a_from_rho
-    first, second = _sum_cdf_args(L, rho, mu_G, sigma_G, y, a_from_rho)
-    return math.exp(marcum_q_complement_log(0.5 * L, first, second))
+    return math.exp(_sum_cdf_ln(L, rho, mu_G, sigma_G, y))
 
 
 def sum_lognormal_cdf_asym_log10(L: int, rho: float, mu_G: float,
                                  sigma_G: float, y: float) -> float:
-    from .channel import a_from_rho
-    first, second = _sum_cdf_args(L, rho, mu_G, sigma_G, y, a_from_rho)
-    return marcum_q_complement_log(0.5 * L, first, second) / _LN10
+    return _sum_cdf_ln(L, rho, mu_G, sigma_G, y) / _LN10
 
 
 @dataclass(frozen=True)
@@ -296,17 +242,10 @@ def sc_asymptote_decomposition(params: DerivedParams, q: OutageQuery) -> Asympto
     """Shift/curvature decomposition of the SC approximation."""
     L, sg = params.L, params.sigma_G
     z = _sc_z(q, sg)
-    if params.independent:
-        oc = math.exp(L * math.log(sg) - 0.5 * L * _LN_2PI)
-        od = _LG_E * L / (2.0 * sg * sg)
-    else:
-        a = _require_correlated(params, "SC asymptote decomposition")
-        a2 = a * a + L - 1.0
-        oc = math.exp(2.0 * L * math.log(a + L - 1.0) - log_det_mixing(a, L)
-                      - 0.5 * L * _LN_2PI + 0.5 * L * math.log(sg * sg / a2))
-        od = _LG_E * L * a2 / (2.0 * sg * sg * (a + L - 1.0) ** 2)
-    return AsymptoteDecomposition(Oc_ln=oc, Od_ln=od,
-                                  term2=-L * math.log10(z), term3=-od * z * z)
+    c, od = _sc_coefficients(L, _weight(params), sg)
+    od *= _LG_E
+    return AsymptoteDecomposition(Oc_ln=math.exp(L * math.log(sg) - 0.5 * L * _LN_2PI + c),
+                                  Od_ln=od, term2=-L * math.log10(z), term3=-od * z * z)
 
 
 def single_branch_outage_exact(mu_G: float, sigma_G: float, gamma_th: float) -> float:

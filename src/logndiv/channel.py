@@ -12,8 +12,9 @@ The average received electrical power is Er = E[exp(2 G_l)]
 = exp(2 mu_G + 2 sigma_G^2), which is the quantity swept on figure x-axes
 (in dB: 10*log10(Er/1 W)).
 
-rho = 0 is a symbolic independent-channel mode (the mixing weight a would be
-infinite); every consumer branches to the independent specialization instead.
+rho = 0 has no finite mixing weight and is stored as a = None. The closed
+forms read it as the point w = 1/a = 0 of the same formulas; the sampler
+draws the exponents directly.
 """
 
 from __future__ import annotations
@@ -124,12 +125,16 @@ class ChannelSpec:
             L = int(d["L"])
             rho = float(d["rho"])
             sigma_G = float(d["sigma_G"])
+            anchor = float(d[anchors[0]])
+            if anchors[0] == "Er_dB":
+                anchor = 10.0 ** (anchor / 10.0)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"channel config field not numeric: {exc}") from exc
+        except OverflowError as exc:
+            raise DomainError(f"channel config field out of range: {exc}") from exc
         if anchors[0] == "mu_G":
-            return cls(L=L, rho=rho, sigma_G=sigma_G, mu_G=float(d["mu_G"]))
-        er = float(d["Er_watts"]) if anchors[0] == "Er_watts" else 10.0 ** (float(d["Er_dB"]) / 10.0)
-        return cls(L=L, rho=rho, sigma_G=sigma_G, Er=er)
+            return cls(L=L, rho=rho, sigma_G=sigma_G, mu_G=anchor)
+        return cls(L=L, rho=rho, sigma_G=sigma_G, Er=anchor)
 
     @classmethod
     def from_json(cls, text: str) -> "ChannelSpec":

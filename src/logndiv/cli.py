@@ -20,7 +20,7 @@ from .channel import ChannelSpec, derive_params
 from .curves import Curve, curves_to_text
 from .errors import DomainError, LogndivError
 from .montecarlo import SimConfig, sweep
-from .presets import (PRESET_NAMES, asymptotic_curve, er_grid_from, figure_curves,
+from .presets import (PRESET_NAMES, _y_grid, asymptotic_curve, er_grid_from, figure_curves,
                       sumcdf_curve)
 from .schemes import SchemeKind
 from .verify_suites import SUITES, run_suites
@@ -155,15 +155,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sumcdf(args) -> int:
-    import numpy as np
     g = args.y
-    n = max(2, int(round((g["stop"] - g["start"]) / g["step"])) + 1) if g["step"] else 2
-    if args.y_spacing == "log":
-        if g["start"] <= 0:
-            raise DomainError("log-spaced y grid needs start > 0")
-        y_grid = list(np.geomspace(g["start"], g["stop"], n))
-    else:
-        y_grid = list(np.linspace(g["start"], g["stop"], n))
+    n = max(2, int(round((g["stop"] - g["start"]) / g["step"])) + 1)
+    y_grid = _y_grid({"start": g["start"], "stop": g["stop"], "points": n,
+                      "spacing": args.y_spacing})
     curve = sumcdf_curve(args.L, args.rho, args.mu_g, args.sigma_g, y_grid, args.method)
     meta = {"command": "sumcdf", "method": args.method, "L": str(args.L),
             "rho": f"{args.rho:g}", "sigma_G": f"{args.sigma_g:g}", "mu_G": f"{args.mu_g:g}"}
@@ -262,9 +257,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LogndivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

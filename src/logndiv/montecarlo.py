@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from .asymptotics import OutageQuery
-from .channel import DerivedParams, iter_latent_batches
+from .channel import _U64, DerivedParams, iter_latent_batches
 from .curves import Curve, CurvePoint
 from .errors import DomainError
 from .schemes import SchemeKind, combiner_snr
-
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,8 @@ def _estimate_from_hits(hits: int, n: int) -> SimEstimate:
                            ci95=(0.0, 1.0 - 0.025 ** (1.0 / n)))
     ci = None
     if hits < 30:
-        lo = float(stats.beta.ppf(0.025, hits, n - hits + 1))
-        hi = float(stats.beta.ppf(0.975, hits + 1, n - hits)) if hits < n else 1.0
+        lo = float(betaincinv(hits, n - hits + 1, 0.025))
+        hi = float(betaincinv(hits + 1, n - hits, 0.975)) if hits < n else 1.0
         ci = (lo, hi)
     return SimEstimate(p_hat=p, stderr=se, n=n, hits=hits, ci95=ci)
 

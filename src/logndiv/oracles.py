@@ -19,6 +19,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import log_ndtr
 
+from .channel import _U64
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
 from .special_fn import gaussian_q, reg_gamma_upper_log
@@ -63,6 +64,8 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
     Target accuracy: 1e-14 absolute or 1e-10 relative, whichever is laxer;
     failing both raises IntegrationFailureError with the achieved estimate.
     """
+    if not math.isfinite(mu_G):
+        raise DomainError(f"mu_G must be finite, got {mu_G!r}")
     if not (math.isfinite(sigma_G) and sigma_G > 0.0):
         raise DomainError(f"sigma_G must be > 0, got {sigma_G!r}")
     if not (math.isfinite(rho) and 0.0 <= rho < 1.0):
@@ -384,7 +387,7 @@ def subset_inclusion_check(a: float, L: int, gamma_th: float, eps: float,
     if overshoot > width:
         width = 1.2 * overshoot
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & _U64)))
     s = rng.uniform(0.0, width, size=(int(n_samples), L))
     if permutation is not None:
         s = s[:, list(permutation)]

@@ -35,7 +35,10 @@ def er_grid_from(cfg: dict) -> list[float]:
     if step <= 0.0 or stop < start:
         raise DomainError(f"bad grid {cfg!r}")
     n = int(round((stop - start) / step))
-    return [10.0 ** ((start + i * step) / 10.0) for i in range(n + 1)]
+    try:
+        return [10.0 ** ((start + i * step) / 10.0) for i in range(n + 1)]
+    except OverflowError:
+        raise DomainError(f"grid {cfg!r} reaches past the largest float in watts") from None
 
 
 def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,

@@ -193,3 +193,34 @@ class TestCli:
         with open(out) as f:
             _, curves = read_curves(f)
         assert curves[0].rho == pytest.approx(0.5)
+
+
+_SUMCDF = ["sumcdf", "--L", "2", "--rho", "0", "--mu-g", "0", "--sigma-g", "0.5",
+           "--y", "0.1:1:0.1", "--method", "asym"]
+
+
+def _flag(argv, flag, value):
+    out = list(argv)
+    out[out.index(flag) + 1] = value
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    _flag(_SUMCDF, "--sigma-g", "0"),
+    _flag(_SUMCDF, "--sigma-g", "-1"),
+    _flag(_SUMCDF, "--L", "0"),
+    _flag(_flag(_SUMCDF, "--mu-g", "nan"), "--method", "quadrature"),
+    _flag(_SUMCDF, "--rho", "1"),
+    _flag(_SUMCDF, "--y", "0:1:0.1") + ["--y-spacing", "log"],
+    ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
+     "--scheme", "sc", "--er-db", "0:4000:1000"],
+    ["asymptotic", "--config", "{cfg}", "--gamma-th", "0.1", "--scheme", "sc",
+     "--er-db", "0:10:5"],
+], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
+        "er-db-overflow", "config-er-db-overflow"])
+def test_bad_input_is_domain_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "chan.json"
+    cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
+    assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
