@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from .curves import Curve, curves_to_text
 from .errors import DomainError, LogndivError
 from .montecarlo import SimConfig, sweep
 from .presets import (PRESET_NAMES, _y_grid, asymptotic_curve, er_grid_from, figure_curves,
-                      sumcdf_curve)
+                      grid_size, sumcdf_curve)
 from .schemes import SchemeKind
 from .verify_suites import SUITES, run_suites
 
@@ -46,6 +47,8 @@ def _parse_grid(text: str, what: str) -> dict:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{what} grid fields must be numeric: {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"{what} grid fields must be finite: {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"{what} grid is empty or inverted: {text!r}")
     return {"start": start, "stop": stop, "step": step}
@@ -93,10 +96,10 @@ def _emit(curves: list[Curve], meta: dict, out: Optional[str], fmt: str) -> None
         sys.stdout.write(text)
 
 
-def _channel_spec(args, need_anchor: bool = False) -> ChannelSpec:
+def _channel_spec(args) -> ChannelSpec:
     """Channel from --config JSON, with explicit flags taking precedence.
     Sweep commands anchor power per grid point, so the returned ChannelSpec
-    carries a placeholder anchor unless one is explicitly required."""
+    carries a placeholder anchor; a config's own anchor is only validated."""
     base: dict = {}
     if args.config:
         try:
@@ -106,10 +109,6 @@ def _channel_spec(args, need_anchor: bool = False) -> ChannelSpec:
             raise DomainError(f"cannot read config {args.config!r}: {exc}") from exc
         spec = ChannelSpec.from_json(text)
         base = {"L": spec.L, "rho": spec.rho, "sigma_G": spec.sigma_G}
-        if spec.mu_G is not None:
-            base["mu_G"] = spec.mu_G
-        else:
-            base["Er"] = spec.Er
     if args.L is not None:
         base["L"] = args.L
     if args.rho is not None:
@@ -119,11 +118,7 @@ def _channel_spec(args, need_anchor: bool = False) -> ChannelSpec:
     for key in ("L", "rho", "sigma_G"):
         if key not in base:
             raise DomainError(f"missing channel parameter {key} (flag or --config)")
-    if not need_anchor:
-        base.pop("mu_G", None)
-        base.pop("Er", None)
-        base["Er"] = 1.0  # placeholder; sweeps anchor per grid point
-    return ChannelSpec(**base)
+    return ChannelSpec(**base, Er=1.0)
 
 
 def _cmd_asymptotic(args) -> int:
@@ -155,10 +150,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sumcdf(args) -> int:
-    g = args.y
-    n = max(2, int(round((g["stop"] - g["start"]) / g["step"])) + 1)
-    y_grid = _y_grid({"start": g["start"], "stop": g["stop"], "points": n,
-                      "spacing": args.y_spacing})
+    # A sumcdf grid always keeps both of its ends.
+    y_grid = _y_grid({**args.y, "points": max(2, grid_size(args.y)), "spacing": args.y_spacing})
     curve = sumcdf_curve(args.L, args.rho, args.mu_g, args.sigma_g, y_grid, args.method)
     meta = {"command": "sumcdf", "method": args.method, "L": str(args.L),
             "rho": f"{args.rho:g}", "sigma_G": f"{args.sigma_g:g}", "mu_G": f"{args.mu_g:g}"}

@@ -21,6 +21,9 @@ from ..schemes import SchemeKind
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
 
+# Largest point count a start:stop:step grid may ask for.
+MAX_GRID_POINTS = 10 ** 6
+
 
 def load_preset(name: str) -> dict:
     if name not in PRESET_NAMES:
@@ -29,14 +32,22 @@ def load_preset(name: str) -> dict:
     return json.loads(text)
 
 
+def grid_size(cfg: dict) -> int:
+    """Point count of the inclusive grid start:stop:step, at most MAX_GRID_POINTS."""
+    start, stop, step = float(cfg["start"]), float(cfg["stop"]), float(cfg["step"])
+    if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0.0 or stop < start:
+        raise DomainError(f"bad grid {cfg!r}")
+    n = round(min((stop - start) / step, MAX_GRID_POINTS)) + 1
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"grid {cfg!r} asks for more than {MAX_GRID_POINTS} points")
+    return n
+
+
 def er_grid_from(cfg: dict) -> list[float]:
     """Inclusive dB grid -> watts."""
-    start, stop, step = float(cfg["start"]), float(cfg["stop"]), float(cfg["step"])
-    if step <= 0.0 or stop < start:
-        raise DomainError(f"bad grid {cfg!r}")
-    n = int(round((stop - start) / step))
+    start, step = float(cfg["start"]), float(cfg["step"])
     try:
-        return [10.0 ** ((start + i * step) / 10.0) for i in range(n + 1)]
+        return [10.0 ** ((start + i * step) / 10.0) for i in range(grid_size(cfg))]
     except OverflowError:
         raise DomainError(f"grid {cfg!r} reaches past the largest float in watts") from None
 

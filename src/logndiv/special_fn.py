@@ -3,8 +3,10 @@ package: Gaussian tail Q, regularized incomplete gamma, and the generalized
 Marcum-Q function evaluated through the noncentral chi-squared series.
 
 All functions are pure, deterministic, and safe to call concurrently. They
-return plain floats; probabilities are range-checked, never silently clipped
-(excursions beyond floating-point dust raise, because they indicate a bug).
+return plain floats. Each probability has one evaluator, in log space. Its
+linear value is the exp (for Marcum-Q, -expm1) of that log clamped at 0, so
+every linear value lies in [0, 1]. The clamp binds only where the series for
+ln P(s, x) rounds a few ulps above 0, once s is below about 1e-14.
 """
 
 from __future__ import annotations
@@ -15,21 +17,11 @@ from dataclasses import dataclass
 from .errors import DomainError, SeriesCapError
 
 _SQRT2 = math.sqrt(2.0)
-_LN_2PI = math.log(2.0 * math.pi)
 
 # Incomplete-gamma iteration controls.
 _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 10 ** 6
-
-# Tolerated floating-point excursion outside [0, 1] before we call it a bug.
-_PROB_SLACK = 1e-12
-
-
-def _as_probability(p: float, what: str) -> float:
-    if p < -_PROB_SLACK or p > 1.0 + _PROB_SLACK:
-        raise AssertionError(f"{what} produced {p!r}, outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
 
 
 def gaussian_q(x: float) -> float:
@@ -101,34 +93,6 @@ def _gcf_factor(s: float, x: float) -> float:
     raise SeriesCapError(f"incomplete gamma continued fraction did not converge (s={s}, x={x})")
 
 
-def reg_gamma_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x), nondecreasing in x.
-
-    Series expansion for x < s + 1, continued fraction otherwise.
-    """
-    _check_gamma_args(s, x)
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        p = _gser_sum(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    else:
-        p = 1.0 - _gcf_factor(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    return _as_probability(p, "reg_gamma_lower")
-
-
-def reg_gamma_upper(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x), computed on
-    whichever branch keeps the tail relatively accurate."""
-    _check_gamma_args(s, x)
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        q = 1.0 - _gser_sum(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    else:
-        q = _gcf_factor(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    return _as_probability(q, "reg_gamma_upper")
-
-
 def reg_gamma_upper_log(s: float, x: float) -> float:
     """ln Q(s, x), stable far into the right tail where Q underflows."""
     _check_gamma_args(s, x)
@@ -136,8 +100,14 @@ def reg_gamma_upper_log(s: float, x: float) -> float:
         return 0.0
     if x < s + 1.0:
         p = _gser_sum(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
-        return math.log1p(-min(p, 1.0 - 1e-300))
+        # P rounds to >= 1 only for tiny s, where Q is below P's rounding.
+        return math.log1p(-p) if p < 1.0 else -math.inf
     return -x + s * math.log(x) - math.lgamma(s) + math.log(_gcf_factor(s, x))
+
+
+def reg_gamma_upper(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x), as exp(ln Q)."""
+    return math.exp(min(reg_gamma_upper_log(s, x), 0.0))
 
 
 def reg_gamma_lower_log(s: float, x: float) -> float:
@@ -151,6 +121,11 @@ def reg_gamma_lower_log(s: float, x: float) -> float:
     return math.log1p(-q) if q < 0.5 else math.log(1.0 - q)
 
 
+def reg_gamma_lower(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x) = exp(ln P), nondecreasing in x."""
+    return math.exp(min(reg_gamma_lower_log(s, x), 0.0))
+
+
 def _check_ncx2_args(k: float, lam: float, x: float) -> None:
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
@@ -160,84 +135,25 @@ def _check_ncx2_args(k: float, lam: float, x: float) -> None:
         raise DomainError(f"evaluation point must be >= 0, got {x!r}")
 
 
-def noncentral_chi2_cdf(k: float, lam: float, x: float) -> float:
-    """CDF of the noncentral chi-squared law with k dof and noncentrality lam.
-
-    Poisson-weighted mixture of central gamma CDFs. Summation starts at the
-    modal Poisson index and expands both ways, so very large noncentralities
-    do not underflow at the first term. Truncates once the remaining Poisson
-    weight is below 1e-16 (the gamma terms are decreasing, so the discarded
-    mass bounds the truncation error).
-    """
-    _check_ncx2_args(k, lam, x)
-    if x == 0.0:
-        return 0.0
-    if lam == 0.0:
-        return reg_gamma_lower(0.5 * k, 0.5 * x)
-
-    y = 0.5 * x
-    half = 0.5 * lam
-    j0 = int(half)
-    lw0 = -half + j0 * math.log(half) - math.lgamma(j0 + 1.0)
-    w0 = math.exp(lw0)
-    s0 = 0.5 * k + j0
-    t0 = reg_gamma_lower(s0, y)
-
-    acc = w0 * t0
-    cumw = w0
-
-    # Upward sweep: t_{j+1} = t_j - y^s e^{-y} / Gamma(s+1) at s = k/2 + j.
-    w, t, s = w0, t0, s0
-    j = j0
-    e = math.exp(s * math.log(y) - y - math.lgamma(s + 1.0))
-    for _ in range(_ITMAX):
-        if cumw >= 1.0 - _EPS:
-            break
-        t -= e
-        if t <= 0.0:
-            break  # all further gamma terms vanish numerically
-        e *= y / (s + 1.0)
-        s += 1.0
-        j += 1
-        w *= half / j
-        acc += w * t
-        cumw += w
-        if w < 1e-20 and j > half:
-            break
-    else:
-        raise SeriesCapError(f"noncentral chi-squared series hit the term cap (k={k}, lam={lam}, x={x})")
-
-    # Downward sweep from the mode: t_{j-1} = t_j + term at s-1.
-    w, t, s = w0, t0, s0
-    j = j0
-    while j > 0 and cumw < 1.0 - _EPS:
-        t = min(1.0, t + math.exp((s - 1.0) * math.log(y) - y - math.lgamma(s)))
-        w *= j / half
-        j -= 1
-        s -= 1.0
-        acc += w * t
-        cumw += w
-        if w < 1e-20 and (half - j) > 2.0:
-            break
-
-    return _as_probability(acc, "noncentral_chi2_cdf")
-
-
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
-    """ln of noncentral_chi2_cdf, usable when the CDF underflows linearly.
+    """ln Pr{X <= x} for X noncentral chi-squared with k dof and
+    noncentrality lam. This is the one evaluator of that law: the linear
+    CDF and the Marcum-Q function are views of it, and it stays finite
+    where the linear CDF underflows.
 
     Log-sum-exp over the Poisson-gamma series; the summand is unimodal in
     the mixture index, so the peak is located by integer ternary search and
     the sum is taken outward until terms fall 46 nats below the peak.
     """
     _check_ncx2_args(k, lam, x)
-    if x == 0.0:
-        return -math.inf
-    if lam == 0.0:
-        return reg_gamma_lower_log(0.5 * k, 0.5 * x)
-
     y = 0.5 * x
     half = 0.5 * lam
+    # Halving the smallest subnormal gives 0, so test the halves.
+    if y == 0.0:
+        return -math.inf
+    if half == 0.0:
+        return reg_gamma_lower_log(0.5 * k, y)
+
     log_half = math.log(half)
 
     def log_term(j: int) -> float:
@@ -274,6 +190,12 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     return min(tstar + math.log(total), 0.0)
 
 
+def noncentral_chi2_cdf(k: float, lam: float, x: float) -> float:
+    """CDF of the noncentral chi-squared law with k dof and noncentrality
+    lam, as exp(noncentral_chi2_cdf_log)."""
+    return math.exp(min(noncentral_chi2_cdf_log(k, lam, x), 0.0))
+
+
 @dataclass(frozen=True)
 class MarcumArgs:
     """Arguments of the generalized Marcum-Q function Q_order(a, b).
@@ -299,13 +221,10 @@ def marcum_q(args: MarcumArgs) -> float:
     """Generalized Marcum-Q: the survival function of a noncentral
     chi-squared law with 2*order dof and noncentrality a^2, evaluated
     at b^2. Nonincreasing in b, nondecreasing in a."""
-    if args.b == 0.0:
-        return 1.0
     if args.a == 0.0:
         # Central case on the upper-tail branch, which keeps small tails exact.
         return reg_gamma_upper(args.order, 0.5 * args.b * args.b)
-    p = noncentral_chi2_cdf(2.0 * args.order, args.a * args.a, args.b * args.b)
-    return _as_probability(1.0 - p, "marcum_q")
+    return -math.expm1(min(marcum_q_complement_log(args.order, args.a, args.b), 0.0))
 
 
 def marcum_q_complement_log(order: float, a: float, b: float) -> float:

@@ -216,11 +216,31 @@ def _flag(argv, flag, value):
      "--scheme", "sc", "--er-db", "0:4000:1000"],
     ["asymptotic", "--config", "{cfg}", "--gamma-th", "0.1", "--scheme", "sc",
      "--er-db", "0:10:5"],
+    ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
+     "--scheme", "sc", "--er-db", "0:10:1e-300"],
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
-        "er-db-overflow", "config-er-db-overflow"])
+        "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
     assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+_ASYMPTOTIC = ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
+               "--scheme", "sc", "--er-db", "0:10:5"]
+
+
+@pytest.mark.parametrize("argv", [
+    _flag(_ASYMPTOTIC, "--er-db", "nan:10:5"),
+    _flag(_ASYMPTOTIC, "--er-db", "0:inf:5"),
+    _flag(_SUMCDF, "--y", "nan:1:0.1"),
+    _flag(_SUMCDF, "--y", "0.1:1:inf"),
+], ids=["er-db-nan-start", "er-db-inf-stop", "y-nan-start", "y-inf-step"])
+def test_non_finite_grid_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "grid fields must be finite" in err and "Traceback" not in err
