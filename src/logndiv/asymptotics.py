@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelSpec, DerivedParams, a_from_rho, log_det_mixing
 from .errors import BelowAsymptoticRegimeError, DegenerateGeometryError, DomainError
+from .schemes import SchemeKind
 from .special_fn import gaussian_q, marcum_q_complement_log
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -259,7 +260,6 @@ def outage_asym(params: DerivedParams, scheme, q: OutageQuery) -> float:
     """Scheme dispatcher used by sweeps. A single branch (L = 1) short-
     circuits every scheme to the exact lognormal CDF, since all three
     combiners coincide there and the exact form is available."""
-    from .schemes import SchemeKind
     if params.L == 1:
         mu_g = 0.5 * math.log(q.er) - params.sigma_G ** 2
         return single_branch_outage_exact(mu_g, params.sigma_G, q.gamma_th)

@@ -150,8 +150,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sumcdf(args) -> int:
-    # A sumcdf grid always keeps both of its ends.
-    y_grid = _y_grid({**args.y, "points": max(2, grid_size(args.y)), "spacing": args.y_spacing})
+    # A sumcdf grid always keeps both of its ends, one point when they coincide.
+    points = grid_size(args.y)
+    if args.y["stop"] > args.y["start"]:
+        points = max(2, points)
+    y_grid = _y_grid({**args.y, "points": points, "spacing": args.y_spacing})
     curve = sumcdf_curve(args.L, args.rho, args.mu_g, args.sigma_g, y_grid, args.method)
     meta = {"command": "sumcdf", "method": args.method, "L": str(args.L),
             "rho": f"{args.rho:g}", "sigma_G": f"{args.sigma_g:g}", "mu_G": f"{args.mu_g:g}"}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 from typing import Optional
 
@@ -152,10 +153,7 @@ def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
                 if samples:
                     sim = sweep(derive_params(spec), scheme, gamma_th, er_grid,
                                 SimConfig(samples, seed, min(batch_size, samples)))
-                    curves.append(Curve(label=label + "-sim", scheme=sim.scheme,
-                                        source=sim.source, L=sim.L, rho=sim.rho,
-                                        sigma_G=sim.sigma_G, gamma_th=sim.gamma_th,
-                                        points=sim.points))
+                    curves.append(replace(sim, label=label + "-sim"))
         if "baseline_single_branch" in preset:
             curves.append(single_branch_curve(
                 float(preset["baseline_single_branch"]["sigma_G"]), gamma_th, er_grid))

@@ -7,6 +7,9 @@ return plain floats. Each probability has one evaluator, in log space. Its
 linear value is the exp (for Marcum-Q, -expm1) of that log clamped at 0, so
 every linear value lies in [0, 1]. The clamp binds only where the series for
 ln P(s, x) rounds a few ulps above 0, once s is below about 1e-14.
+
+The noncentral chi-squared log-CDF is one bounded forward pass over the dual
+series of Ding (1992, Appl. Statist. 41, AS 275), whose summand is unimodal.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 10 ** 6
+# Longest noncentral chi-squared series summed; a longer one is a domain error.
+_NCX2_MAX_TERMS = 10 ** 7
 
 
 def gaussian_q(x: float) -> float:
@@ -126,13 +131,18 @@ def reg_gamma_lower(s: float, x: float) -> float:
     return math.exp(min(reg_gamma_lower_log(s, x), 0.0))
 
 
-def _check_ncx2_args(k: float, lam: float, x: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"evaluation point must be >= 0, got {x!r}")
+def _log_poisson(n: float, mean: float) -> float:
+    """ln(e^-mean mean^n / Gamma(n + 1)) for real n >= 0 and mean > 0. Above
+    n = 15 in Loader's saddle-point form -stirlerr - bd0 - ln(2 pi n)/2, whose
+    rounding error is near eps*|n - mean|, not the eps*n*ln(n) of lgamma."""
+    if n <= 15.0:
+        return n * math.log(mean) - mean - math.lgamma(n + 1.0)
+    d = n - mean
+    bd0 = n * (math.log1p(d / mean) if abs(d) < mean else math.log(n) - math.log(mean)) - d
+    # ln Gamma(n + 1) - (n + 1/2) ln n + n - ln(2 pi)/2, Stirling's series.
+    nn = 1.0 / (n * n)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+    return -stirlerr - bd0 - 0.5 * math.log(2.0 * math.pi * n)
 
 
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
@@ -141,53 +151,45 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     CDF and the Marcum-Q function are views of it, and it stays finite
     where the linear CDF underflows.
 
-    Log-sum-exp over the Poisson-gamma series; the summand is unimodal in
-    the mixture index, so the peak is located by integer ternary search and
-    the sum is taken outward until terms fall 46 nats below the peak.
+    With s = k/2, y = x/2 and h = lam/2, P = sum_m d_m C_m: d_m is the
+    gamma density e^-y y^(s+m) / Gamma(s+m+1) and C_m the Poisson(h) CDF at m.
+    Both are log-concave in m, so the summand is unimodal. One pass log-adds
+    C_m, sums the terms against the running peak and stops 46 nats below it.
+    The summand rises until about m = max(y, sqrt(y h)) - s or later; a series
+    that would rise for more than _NCX2_MAX_TERMS terms is refused at once.
     """
-    _check_ncx2_args(k, lam, x)
-    y = 0.5 * x
-    half = 0.5 * lam
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"evaluation point must be >= 0, got {x!r}")
+    s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
     # Halving the smallest subnormal gives 0, so test the halves.
     if y == 0.0:
         return -math.inf
-    if half == 0.0:
-        return reg_gamma_lower_log(0.5 * k, y)
+    if h == 0.0:
+        return reg_gamma_lower_log(s, y)
+    rise = max(y, math.sqrt(y * h)) - s
+    if rise > _NCX2_MAX_TERMS:
+        raise SeriesCapError(f"noncentral chi-squared series rises for {rise:.3g} terms, "
+                             f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
 
-    log_half = math.log(half)
-
-    def log_term(j: int) -> float:
-        return (-half + j * log_half - math.lgamma(j + 1.0)
-                + reg_gamma_lower_log(0.5 * k + j, y))
-
-    lo, hi = 0, int(half + 10.0 * math.sqrt(half) + 60.0)
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if log_term(m1) < log_term(m2):
-            lo = m1 + 1
+    ln_c = peak = -math.inf
+    total = 0.0  # sum of exp(term - peak)
+    for m in range(_NCX2_MAX_TERMS):
+        ln_p = _log_poisson(m, h)
+        ln_c = max(ln_c, ln_p) + math.log1p(math.exp(-abs(ln_c - ln_p)))
+        t = _log_poisson(s + m, y) + ln_c
+        if t > peak:
+            total = total * math.exp(peak - t) + 1.0
+            peak = t
+        elif t < peak - 46.0:
+            return min(peak + math.log(total), 0.0)
         else:
-            hi = m2
-    jstar = max(range(max(lo - 2, 0), hi + 3), key=log_term)
-    tstar = log_term(jstar)
-
-    total = 1.0
-    j = jstar + 1
-    for _ in range(_ITMAX):
-        d = log_term(j) - tstar
-        if d < -46.0:
-            break
-        total += math.exp(d)
-        j += 1
-    j = jstar - 1
-    while j >= 0:
-        d = log_term(j) - tstar
-        if d < -46.0:
-            break
-        total += math.exp(d)
-        j -= 1
-
-    return min(tstar + math.log(total), 0.0)
+            total += math.exp(t - peak)
+    raise SeriesCapError(f"noncentral chi-squared series still within 46 nats of its peak "
+                         f"after {_NCX2_MAX_TERMS} terms (k={k}, lam={lam}, x={x})")
 
 
 def noncentral_chi2_cdf(k: float, lam: float, x: float) -> float:
@@ -231,8 +233,5 @@ def marcum_q_complement_log(order: float, a: float, b: float) -> float:
     """ln(1 - Q_order(a, b)): the log lower tail of the associated
     noncentral chi-squared law. Stable when the complement underflows,
     which is the regime of high-SNR combining curves."""
-    if not (math.isfinite(order) and order > 0.0):
-        raise DomainError(f"Marcum order must be finite and > 0, got {order!r}")
-    if not (math.isfinite(a) and a >= 0.0) or not (math.isfinite(b) and b >= 0.0):
-        raise DomainError("Marcum arms must be finite and >= 0")
+    MarcumArgs(order, a, b)  # validates the arguments
     return noncentral_chi2_cdf_log(2.0 * order, a * a, b * b)

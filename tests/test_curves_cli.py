@@ -244,3 +244,21 @@ def test_non_finite_grid_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "grid fields must be finite" in err and "Traceback" not in err
+
+
+def test_sumcdf_single_point_grid(tmp_path):
+    # start = stop is one point, as it is for --er-db.
+    out = tmp_path / "y.csv"
+    assert main(_flag(_SUMCDF, "--y", "0.5:0.5:0.1") + ["--out", str(out)]) == 0
+    with open(out) as f:
+        _, curves = read_curves(f)
+    assert [p.x for p in curves[0].points] == [0.5]
+
+
+def test_overlong_ncx2_series_is_domain_error(capsys):
+    # At rho = 0.9999 the EGC series would rise for about 3e8 terms.
+    argv = ["asymptotic", "--L", "2", "--rho", "0.9999", "--sigma-g", "0.8", "--gamma-th",
+            "0.1", "--scheme", "egc", "--er-db", "100:100:5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from logndiv.errors import DomainError
+from logndiv.errors import DomainError, SeriesCapError
 from logndiv.special_fn import (MarcumArgs, gaussian_q, gaussian_q_asym, marcum_q,
                                 marcum_q_complement_log, noncentral_chi2_cdf,
                                 noncentral_chi2_cdf_log, reg_gamma_lower,
@@ -174,6 +175,13 @@ class TestNoncentralChi2:
             noncentral_chi2_cdf(2.0, -1.0, 1.0)
         with pytest.raises(DomainError):
             noncentral_chi2_cdf(2.0, 1.0, -1.0)
+
+    def test_overlong_series_refused_at_once(self):
+        # The series would rise for 5e7 terms; it is refused before the first.
+        start = time.perf_counter()
+        with pytest.raises(SeriesCapError, match="more than"):
+            noncentral_chi2_cdf_log(2.0, 1e8, 1e8)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMarcumQ:

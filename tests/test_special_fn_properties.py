@@ -1,6 +1,7 @@
 """Properties of the linear special functions, which are views (exp or
 -expm1) of the log-space kernels: every value is a probability, P + Q = 1,
-and the noncentral chi-squared CDF is nondecreasing in x."""
+and the noncentral chi-squared CDF is nondecreasing in x and nonincreasing
+in the noncentrality."""
 
 import math
 import sys
@@ -8,8 +9,8 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logndiv.special_fn import (MarcumArgs, marcum_q, noncentral_chi2_cdf, reg_gamma_lower,
-                                reg_gamma_upper)
+from logndiv.special_fn import (MarcumArgs, marcum_q, noncentral_chi2_cdf,
+                                noncentral_chi2_cdf_log, reg_gamma_lower, reg_gamma_upper)
 
 settings.register_profile("kernels", max_examples=60, deadline=None, derandomize=True,
                           database=None)
@@ -49,6 +50,14 @@ def test_ncx2_cdf_is_a_nondecreasing_probability(k, lam, x1, x2):
     assert _is_probability(p_lo) and _is_probability(p_hi)
     # Up to rounding: x one ulp apart can swap by ~1e-14 relative.
     assert p_lo <= p_hi * (1.0 + 1e-13)
+
+
+@given(dof, st.floats(0.0, 1e4), st.floats(0.0, 1e4), st.floats(1e-300, 2e4))
+def test_ncx2_log_cdf_is_nonincreasing_in_noncentrality(k, lam1, lam2, x):
+    lo, hi = sorted((lam1, lam2))
+    ln_lo, ln_hi = noncentral_chi2_cdf_log(k, lo, x), noncentral_chi2_cdf_log(k, hi, x)
+    # Up to rounding, on the scale of the oracle bound.
+    assert ln_hi <= ln_lo + 1e-13 * max(1.0, abs(ln_lo))
 
 
 @given(st.floats(0.5, 8.0), st.floats(0.0, 20.0), st.floats(0.0, 20.0))
