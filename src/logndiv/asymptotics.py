@@ -10,16 +10,16 @@ Conventions shared by every function here:
     as lower tails of a noncentral chi-squared law (complement of a
     generalized Marcum-Q of order L/2).
   * The forms are written in w = 1/a in [0, 1), where the powers of a
-    cancel. rho = 0 (a = None) is the point w = 0 of the same expressions,
-    not a separate code path; the *_indep functions evaluate that point.
+    cancel. rho = 0 is the point w = 0 of the same expressions, not a
+    separate code path; the *_indep functions evaluate that point.
     EGC, MRC and the sum-CDF share one noncentral chi-squared arm map.
   * Everything is evaluated in log-space, so L = 8 with mixing weight
     a = 10^3 neither overflows nor underflows; the linear and *_log10
     variants are views of the same log value.
   * Below the validity region of an approximation a typed
-    BelowAsymptoticRegimeError is raised carrying the smallest valid Er,
-    so grid sweeps can annotate pre-asymptotic points instead of dropping
-    them.
+    BelowAsymptoticRegimeError is raised carrying the log of the smallest
+    valid Er, so grid sweeps can annotate pre-asymptotic points instead of
+    dropping them, even where that Er overflows a float.
   * Fully correlated channels (a = 1) are rejected: the osculating
     geometry behind the EGC/MRC forms degenerates, and the SC coefficient
     divides by the vanishing mixing determinant. Identical branches should
@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelSpec, DerivedParams, a_from_rho, log_det_mixing
-from .errors import BelowAsymptoticRegimeError, DegenerateGeometryError, DomainError
+from .channel import ChannelSpec, DerivedParams, log_det_mixing, mixing_weight, mu_g_from_er
+from .errors import (_LN_FLOAT_MAX, BelowAsymptoticRegimeError, DegenerateGeometryError,
+                     DomainError)
 from .schemes import SchemeKind
 from .special_fn import gaussian_q, marcum_q_complement_log
 
@@ -57,24 +58,26 @@ class OutageQuery:
 
 
 def _weight(params: DerivedParams) -> float:
-    """w = 1/a in [0, 1): the closed forms below are written in w, so the
-    independent channel (a = None) is the point w = 0 of the same formulas."""
-    if params.a is None:
-        return 0.0
-    if params.a <= 1.0:
+    """w = 1/a in [0, 1): the closed forms below are written in w, so
+    rho = 0 is the point w = 0 of the same formulas."""
+    if params.w >= 1.0:
         raise DegenerateGeometryError(
             "the asymptotic forms are undefined for fully correlated channels (a = 1); "
             "model them as a single branch with scaled power")
-    return 1.0 / params.a
+    return params.w
+
+
+def _below_regime(name: str, ln_min_er: float) -> BelowAsymptoticRegimeError:
+    return BelowAsymptoticRegimeError(
+        f"below the {name} asymptotic regime: need Er > {10.0 * ln_min_er / _LN10:.6g} dB",
+        ln_min_er)
 
 
 def _sc_z(q: OutageQuery, sigma_g: float) -> float:
     # Validity region of the SC form: ln sqrt(Er/gamma_th) > sigma_G^2.
     z = 0.5 * math.log(q.er / q.gamma_th) - sigma_g ** 2
     if z <= 0.0:
-        min_er = q.gamma_th * math.exp(2.0 * sigma_g ** 2)
-        raise BelowAsymptoticRegimeError(
-            f"below the SC asymptotic regime: need Er > {min_er:.6g} W", min_er)
+        raise _below_regime("SC", math.log(q.gamma_th) + 2.0 * sigma_g ** 2)
     return z
 
 
@@ -91,8 +94,13 @@ def _sc_coefficients(L: int, w: float, sigma_g: float) -> tuple[float, float]:
 def _sc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
     z = _sc_z(q, sigma_g)
     c, od = _sc_coefficients(L, w, sigma_g)
-    # Grouped as the printed independent form, so w = 0 reproduces it bit for bit.
+    # Grouped as the printed rho = 0 form, so w = 0 reproduces it bit for bit.
     return L * (math.log(sigma_g) - math.log(z)) - 0.5 * L * _LN_2PI + c - od * z * z
+
+
+def _sc_raw(ln: float) -> float:
+    # Just above the regime edge the raw SC value exceeds 1, at large L past the float range.
+    return math.inf if ln >= _LN_FLOAT_MAX else math.exp(ln)
 
 
 def sc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
@@ -103,7 +111,7 @@ def sc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     of its higher-order terms); immediately above the validity threshold it
     can exceed 1 and is not yet a meaningful probability there.
     """
-    return math.exp(_sc_ln(params.L, _weight(params), params.sigma_G, q))
+    return _sc_raw(_sc_ln(params.L, _weight(params), params.sigma_G, q))
 
 
 def sc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
@@ -113,7 +121,7 @@ def sc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
 def sc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
     """The SC form at rho = 0: the L-th power of the one-branch Gaussian
     tail approximation."""
-    return math.exp(_sc_ln(L, 0.0, sigma_G, q))
+    return _sc_raw(_sc_ln(L, 0.0, sigma_G, q))
 
 
 def sc_outage_asym_latent(a: float, L: int, mu_X: float, sigma_X: float,
@@ -151,9 +159,7 @@ def _combiner_ln(L: int, w: float, sigma_g: float, q: OutageQuery,
     z = 0.5 * math.log(L * q.er / q.gamma_th) - sigma_g ** 2
     first, second, z_edge = _ncx2_arms(L, w, sigma_g, z, c)
     if first <= 0.0:
-        min_er = (q.gamma_th / L) * math.exp(2.0 * (sigma_g ** 2 + z_edge))
-        raise BelowAsymptoticRegimeError(
-            f"below the {name} asymptotic regime: need Er > {min_er:.6g} W", min_er)
+        raise _below_regime(name, math.log(q.gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))
     return marcum_q_complement_log(0.5 * L, first, second)
 
 
@@ -196,12 +202,12 @@ def _sum_cdf_ln(L: int, rho: float, mu_G: float, sigma_G: float, y: float) -> fl
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"sum-CDF argument y must be finite and > 0, got {y!r}")
     ChannelSpec(L=L, rho=rho, sigma_G=sigma_G, mu_G=mu_G)   # the channel's input checks
-    w = 1.0 / a_from_rho(rho, L) if rho > 0.0 else 0.0
+    w = mixing_weight(rho, L)
     first, second, z_edge = _ncx2_arms(L, w, sigma_G, math.log(L) + mu_G - math.log(y), 1.0)
     if first <= 0.0:
-        max_y = math.exp(math.log(L) + mu_G - z_edge)
+        ln_max_y = math.log(L) + mu_G - z_edge
         raise BelowAsymptoticRegimeError(
-            f"sum-CDF tail form is only valid left of y = {max_y:.6g}", max_y)
+            f"sum-CDF tail form is only valid left of ln y = {ln_max_y:.6g}", ln_max_y)
     return marcum_q_complement_log(0.5 * L, first, second)
 
 
@@ -261,8 +267,8 @@ def outage_asym(params: DerivedParams, scheme, q: OutageQuery) -> float:
     circuits every scheme to the exact lognormal CDF, since all three
     combiners coincide there and the exact form is available."""
     if params.L == 1:
-        mu_g = 0.5 * math.log(q.er) - params.sigma_G ** 2
-        return single_branch_outage_exact(mu_g, params.sigma_G, q.gamma_th)
+        return single_branch_outage_exact(mu_g_from_er(q.er, params.sigma_G), params.sigma_G,
+                                          q.gamma_th)
     if scheme is SchemeKind.SC:
         return sc_outage_asym(params, q)
     if scheme is SchemeKind.EGC:

@@ -29,16 +29,21 @@ def sum_moments(L: int, rho: float, mu_G: float, sigma_G: float) -> tuple[float,
     N(mu_G, sigma_G^2) exponents; the cross terms use
     E[exp(G_m + G_n)] = exp(2 mu_G + sigma_G^2 (1 + rho))."""
     _check(L, rho, sigma_G)
-    v = sigma_G ** 2
-    mean = L * math.exp(mu_G + 0.5 * v)
-    var = (L * math.exp(2.0 * mu_G + v) * (math.exp(v) - 1.0)
-           + L * (L - 1) * math.exp(2.0 * mu_G + v) * (math.exp(rho * v) - 1.0))
+    try:
+        v = sigma_G ** 2
+        mean = L * math.exp(mu_G + 0.5 * v)
+        var = (L * math.exp(2.0 * mu_G + v) * (math.exp(v) - 1.0)
+               + L * (L - 1) * math.exp(2.0 * mu_G + v) * (math.exp(rho * v) - 1.0))
+    except OverflowError:
+        raise DomainError(f"moments of the sum overflow (mu_G={mu_G!r}, sigma_G={sigma_G!r})") from None
     return mean, var
 
 
 def fenton_wilkinson_match(L: int, rho: float, mu_G: float, sigma_G: float) -> MatchedLognormal:
     """Match E[S] and Var[S] to a single lognormal."""
     mean, var = sum_moments(L, rho, mu_G, sigma_G)
+    if not 0.0 < mean * mean < math.inf:
+        raise DomainError(f"squared mean of the sum is out of range (mu_G={mu_G!r})")
     sig2 = math.log1p(var / (mean * mean))
     return MatchedLognormal(mu_m=math.log(mean) - 0.5 * sig2, sigma_m=math.sqrt(sig2))
 

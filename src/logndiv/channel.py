@@ -12,9 +12,9 @@ The average received electrical power is Er = E[exp(2 G_l)]
 = exp(2 mu_G + 2 sigma_G^2), which is the quantity swept on figure x-axes
 (in dB: 10*log10(Er/1 W)).
 
-rho = 0 has no finite mixing weight and is stored as a = None. The closed
-forms read it as the point w = 1/a = 0 of the same formulas; the sampler
-draws the exponents directly.
+Everything downstream is written in w = 1/a in [0, 1]. rho = 0 has no
+finite mixing weight; it is the point w = 0 of the same expressions, for
+the closed forms and for the sampler alike (where the mix is the identity).
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ def a_from_rho(rho: float, L: int) -> float:
     return (1.0 + math.sqrt(1.0 - rho * (rho * (L - 1) - L + 2.0))) / rho
 
 
+def mixing_weight(rho: float, L: int) -> float:
+    """w = 1/a in [0, 1) realizing correlation rho over L >= 2 branches; 0 at rho = 0."""
+    return 1.0 / a_from_rho(rho, L) if rho > 0.0 else 0.0
+
+
+def mu_g_from_er(er_watts: float, sigma_G: float) -> float:
+    """Exponent mean (nats) whose average power exp(2 mu_G + 2 sigma_G^2) is er_watts."""
+    return 0.5 * math.log(er_watts) - sigma_G ** 2
+
+
 def log_det_mixing(a: float, L: int) -> float:
     """ln det of the L x L mixing matrix (a on the diagonal, 1 elsewhere):
     det = (a-1)^(L-1) * (a+L-1). Requires a > 1."""
@@ -61,8 +71,9 @@ def log_det_mixing(a: float, L: int) -> float:
 
 
 def _check_branches(L: int, minimum: int = 1) -> None:
-    if not (isinstance(L, (int, np.integer)) and L >= minimum):
-        raise DomainError(f"branch count must be an integer >= {minimum}, got {L!r}")
+    # Every form computes with float(L), which is exact up to 2^53.
+    if not (isinstance(L, (int, np.integer)) and minimum <= L <= 2 ** 53):
+        raise DomainError(f"branch count must be an integer in [{minimum}, 2^53], got {L!r}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,9 @@ class ChannelSpec:
         _check_branches(self.L)
         if not (math.isfinite(self.rho) and 0.0 <= self.rho < 1.0):
             raise DomainError(f"rho must lie in [0, 1), got {self.rho!r}")
-        if not (math.isfinite(self.sigma_G) and self.sigma_G > 0.0):
-            raise DomainError(f"sigma_G must be finite and > 0, got {self.sigma_G!r}")
+        # sigma_G^2 enters every form, so it must neither overflow nor underflow.
+        if not (self.sigma_G > 0.0 and 0.0 < self.sigma_G * self.sigma_G < math.inf):
+            raise DomainError(f"sigma_G must be > 0 with a finite nonzero square, got {self.sigma_G!r}")
         if (self.mu_G is None) == (self.Er is None):
             raise DomainError("exactly one power anchor (mu_G or Er) must be set")
         if self.Er is not None and not (math.isfinite(self.Er) and self.Er > 0.0):
@@ -95,16 +107,7 @@ class ChannelSpec:
     @property
     def mu_g_value(self) -> float:
         """Exponent mean in nats, resolving the Er anchor if that was given."""
-        if self.mu_G is not None:
-            return self.mu_G
-        return 0.5 * math.log(self.Er) - self.sigma_G ** 2
-
-    @property
-    def er_watts(self) -> float:
-        """Average received electrical power exp(2 mu_G + 2 sigma_G^2)."""
-        if self.Er is not None:
-            return self.Er
-        return math.exp(2.0 * self.mu_G + 2.0 * self.sigma_G ** 2)
+        return self.mu_G if self.mu_G is not None else mu_g_from_er(self.Er, self.sigma_G)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSpec":
@@ -149,71 +152,57 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Internal equicorrelation parameters.
-
-    a is None in the independent mode (rho = 0, or L = 1 where correlation is
-    vacuous); in that mode mu_X/sigma_X hold the exponent's own mean/std and
-    detA is None.
-    """
+    """Internal equicorrelation parameters in w = 1/a in [0, 1]. w = 0 is
+    rho = 0 (and L = 1): no finite mixing weight realizes it, so the latent
+    views a, mu_X and sigma_X raise DomainError there. w = 1 (identical
+    branches) is valid for sampling only."""
 
     L: int
     rho: float
     sigma_G: float
     mu_G: float
-    a: Optional[float]
-    mu_X: float
-    sigma_X: float
-    detA: Optional[float]
+    w: float
 
     @property
-    def independent(self) -> bool:
-        return self.a is None
+    def a(self) -> float:
+        if self.w == 0.0:
+            raise DomainError("rho = 0 has no finite mixing weight (w = 0)")
+        return 1.0 / self.w
+
+    @property
+    def mu_X(self) -> float:
+        return self.mu_G / (self.a + self.L - 1.0)
+
+    @property
+    def sigma_X(self) -> float:
+        return self.sigma_G / math.sqrt(self.a * self.a + self.L - 1.0)
 
     @property
     def er_watts(self) -> float:
         return math.exp(2.0 * self.mu_G + 2.0 * self.sigma_G ** 2)
 
-    def with_mu_g(self, mu_G: float) -> "DerivedParams":
-        """Same correlation structure, different power anchor."""
-        if self.independent:
-            return replace(self, mu_G=mu_G, mu_X=mu_G)
-        return replace(self, mu_G=mu_G, mu_X=mu_G / (self.a + self.L - 1.0))
-
     def with_er(self, er_watts: float) -> "DerivedParams":
+        """Same correlation structure, power anchored at er_watts."""
         if not (math.isfinite(er_watts) and er_watts > 0.0):
             raise DomainError(f"Er must be finite and > 0 watts, got {er_watts!r}")
-        return self.with_mu_g(0.5 * math.log(er_watts) - self.sigma_G ** 2)
+        return replace(self, mu_G=mu_g_from_er(er_watts, self.sigma_G))
 
     @classmethod
     def from_a(cls, a: float, L: int, sigma_G: float, mu_G: float) -> "DerivedParams":
-        """Construct directly from a mixing weight a >= 1 (used for
-        independent-limit checks at large a; a = 1 means identical branches
-        and is valid for sampling only)."""
+        """Construct directly from a mixing weight a >= 1 (used for rho -> 0
+        limit checks at large a)."""
         _check_branches(L)
         if not (math.isfinite(a) and a >= 1.0):
             raise DomainError(f"mixing weight must be finite and >= 1, got {a!r}")
-        rho = rho_from_a(a, L) if L >= 2 else 0.0
-        return cls(
-            L=L, rho=rho, sigma_G=sigma_G, mu_G=mu_G, a=a,
-            mu_X=mu_G / (a + L - 1.0),
-            sigma_X=sigma_G / math.sqrt(a * a + L - 1.0),
-            detA=(a - 1.0) ** (L - 1) * (a + L - 1.0),
-        )
+        return cls(L=L, rho=rho_from_a(a, L) if L >= 2 else 0.0, sigma_G=sigma_G, mu_G=mu_G,
+                   w=1.0 / a)
 
 
 def derive_params(spec: ChannelSpec) -> DerivedParams:
-    """Resolve a ChannelSpec into sampling/asymptotics parameters.
-
-    rho = 0 (or L = 1) selects the independent mode; otherwise the mixing
-    weight is the larger root of the correlation equation.
-    """
-    mu_G = spec.mu_g_value
-    if spec.L == 1 or spec.rho == 0.0:
-        return DerivedParams(
-            L=spec.L, rho=0.0, sigma_G=spec.sigma_G, mu_G=mu_G,
-            a=None, mu_X=mu_G, sigma_X=spec.sigma_G, detA=None,
-        )
-    return DerivedParams.from_a(a_from_rho(spec.rho, spec.L), spec.L, spec.sigma_G, mu_G)
+    """Resolve a ChannelSpec into sampling/asymptotics parameters (L = 1 is w = 0 too)."""
+    w = mixing_weight(spec.rho, spec.L) if spec.L > 1 else 0.0
+    return DerivedParams(L=spec.L, rho=spec.rho if w else 0.0, sigma_G=spec.sigma_G,
+                         mu_G=spec.mu_g_value, w=w)
 
 
 @dataclass(frozen=True)
@@ -241,19 +230,18 @@ def iter_latent_batches(params: DerivedParams, n: int, seed: int,
         raise DomainError(f"sample count must be an integer >= 1, got {n!r}")
     if not (isinstance(batch_size, (int, np.integer)) and batch_size >= 1):
         raise DomainError(f"batch size must be an integer >= 1, got {batch_size!r}")
-    emitted = 0
-    batch_index = 0
-    while emitted < n:
-        nb = min(batch_size, n - emitted)
-        rng = batch_rng(seed, batch_index)
-        if params.independent:
-            g = rng.normal(params.mu_G, params.sigma_G, size=(nb, params.L))
-        else:
-            x = rng.normal(params.mu_X, params.sigma_X, size=(nb, params.L))
-            g = (params.a - 1.0) * x + x.sum(axis=1, keepdims=True)
+    # X' = a*X ~ N(mu_G/s, sigma_G^2/s2) and G = (1-w) X' + w sum X'; at w = 0
+    # the mix is the identity, so it is skipped and G is drawn directly.
+    L, w = params.L, params.w
+    mu = params.mu_G / (1.0 + (L - 1) * w)
+    sd = params.sigma_G / math.sqrt(1.0 + (L - 1) * w * w)
+    for batch_index, start in enumerate(range(0, n, batch_size)):
+        g = batch_rng(seed, batch_index).normal(mu, sd, size=(min(batch_size, n - start), L))
+        if w:
+            mix = w * g.sum(axis=1, keepdims=True)
+            g *= 1.0 - w
+            g += mix
         yield g
-        emitted += nb
-        batch_index += 1
 
 
 def sample_gains(params: DerivedParams, n: int, seed: int,

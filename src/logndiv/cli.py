@@ -54,10 +54,6 @@ def _parse_grid(text: str, what: str) -> dict:
     return {"start": start, "stop": stop, "step": step}
 
 
-def _er_grid_arg(text: str) -> dict:
-    return _parse_grid(text, "--er-db")
-
-
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".logndiv-")
@@ -205,14 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("asymptotic", help="closed-form outage curve over an Er grid")
     add_channel_flags(sp)
     sp.add_argument("--scheme", required=True, choices=[s.value for s in SchemeKind])
-    sp.add_argument("--er-db", type=_er_grid_arg, required=True, metavar="START:STOP:STEP")
+    sp.add_argument("--er-db", type=lambda t: _parse_grid(t, "--er-db"), required=True,
+                    metavar="START:STOP:STEP")
     add_output_flags(sp)
     sp.set_defaults(func=_cmd_asymptotic)
 
     sp = sub.add_parser("simulate", help="Monte Carlo outage curve over an Er grid")
     add_channel_flags(sp)
     sp.add_argument("--scheme", required=True, choices=[s.value for s in SchemeKind])
-    sp.add_argument("--er-db", type=_er_grid_arg, required=True, metavar="START:STOP:STEP")
+    sp.add_argument("--er-db", type=lambda t: _parse_grid(t, "--er-db"), required=True,
+                    metavar="START:STOP:STEP")
     sp.add_argument("--samples", type=int, default=10_000_000)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--batch-size", type=int, default=1_000_000)

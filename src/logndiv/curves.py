@@ -121,15 +121,10 @@ def read_curves(stream) -> tuple[dict, list[Curve]]:
         return int(s) if s else None
 
     curves: list[Curve] = []
-    order: list[str] = []
-    grouped: dict[str, list[dict]] = {}
+    grouped: dict[str, list[dict]] = {}   # in file order
     for r in rows:
-        if r["label"] not in grouped:
-            grouped[r["label"]] = []
-            order.append(r["label"])
-        grouped[r["label"]].append(r)
-    for label in order:
-        rs = grouped[label]
+        grouped.setdefault(r["label"], []).append(r)
+    for label, rs in grouped.items():
         first = rs[0]
         pts = tuple(
             CurvePoint(x=float(r["x"]), outage=opt_float(r["outage"]),

@@ -1,6 +1,11 @@
 """Exception hierarchy. All library errors derive from LogndivError so the
 CLI can map them to stable exit codes (domain/validity -> 3)."""
 
+import math
+import sys
+
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 class LogndivError(Exception):
     """Base class for all errors raised by this package."""
@@ -13,14 +18,15 @@ class DomainError(LogndivError, ValueError):
 class BelowAsymptoticRegimeError(DomainError):
     """High-SNR approximation requested below its validity region.
 
-    Carries the smallest average received power (watts) for which the
-    requested approximation is defined, so sweeps can annotate instead
-    of aborting.
+    Carries ln of the smallest average received power (watts) for which the
+    approximation is defined (of the largest valid y for the sum-CDF tail
+    form), so sweeps can annotate instead of aborting, also past the float range.
     """
 
-    def __init__(self, message: str, min_er_watts: float):
+    def __init__(self, message: str, ln_bound: float):
         super().__init__(message)
-        self.min_er_watts = min_er_watts
+        self.ln_bound = ln_bound
+        self.min_er_watts = math.inf if ln_bound >= _LN_FLOAT_MAX else math.exp(ln_bound)
 
 
 class DegenerateGeometryError(DomainError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..asymptotics import OutageQuery, outage_asym, single_branch_outage_exact, sum_lognormal_cdf_asym
 from ..baselines import fenton_wilkinson_cdf
-from ..channel import ChannelSpec, derive_params
+from ..channel import ChannelSpec, derive_params, mu_g_from_er
 from ..curves import Curve, CurvePoint
 from ..errors import BelowAsymptoticRegimeError, DomainError
 from ..montecarlo import SimConfig, sweep
@@ -68,7 +68,7 @@ def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
                 note = f"above_unity;raw={outage:.6e}"
                 outage = None
         except BelowAsymptoticRegimeError as exc:
-            note = f"below_asymptotic_regime;min_er_db={10.0 * math.log10(exc.min_er_watts):.6f}"
+            note = f"below_asymptotic_regime;min_er_db={10.0 * exc.ln_bound / math.log(10.0):.6f}"
             outage = None
         pts.append(CurvePoint(x=10.0 * math.log10(er), outage=outage, note=note))
     return Curve(label=label or f"{scheme.value}-asym-L{spec.L}-rho{spec.rho:g}",
@@ -79,9 +79,8 @@ def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
 def single_branch_curve(sigma_G: float, gamma_th: float, er_grid: list[float]) -> Curve:
     pts = []
     for er in er_grid:
-        mu_g = 0.5 * math.log(er) - sigma_G ** 2
-        pts.append(CurvePoint(x=10.0 * math.log10(er),
-                              outage=single_branch_outage_exact(mu_g, sigma_G, gamma_th)))
+        outage = single_branch_outage_exact(mu_g_from_er(er, sigma_G), sigma_G, gamma_th)
+        pts.append(CurvePoint(x=10.0 * math.log10(er), outage=outage))
     return Curve(label="single-branch-exact", scheme="sc", source="exact", L=1,
                  rho=0.0, sigma_G=sigma_G, gamma_th=gamma_th, points=tuple(pts))
 

@@ -61,7 +61,7 @@ def _check_gamma_args(s: float, x: float) -> None:
 
 def _gser_sum(s: float, x: float) -> float:
     # Series part of P(s,x): sum_{n>=0} x^n / (s(s+1)...(s+n)) * s, i.e.
-    # P = sum * exp(-x + s ln x - lgamma(s)) with sum = 1/s * (1 + ...).
+    # P = sum * x^s e^-x / Gamma(s) with sum = 1/s * (1 + ...).
     ap = s
     term = 1.0 / s
     total = term
@@ -76,7 +76,7 @@ def _gser_sum(s: float, x: float) -> float:
 
 def _gcf_factor(s: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for Q(s,x);
-    # Q = exp(-x + s ln x - lgamma(s)) * factor. Valid for x >= s + 1.
+    # Q = x^s e^-x / Gamma(s) * factor. Valid for x >= s + 1.
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -103,11 +103,12 @@ def reg_gamma_upper_log(s: float, x: float) -> float:
     _check_gamma_args(s, x)
     if x == 0.0:
         return 0.0
+    ln_f = math.log(s) + _log_poisson(s, x)   # ln(e^-x x^s / Gamma(s)), accurate at large s
     if x < s + 1.0:
-        p = _gser_sum(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
+        p = _gser_sum(s, x) * math.exp(ln_f)
         # P rounds to >= 1 only for tiny s, where Q is below P's rounding.
         return math.log1p(-p) if p < 1.0 else -math.inf
-    return -x + s * math.log(x) - math.lgamma(s) + math.log(_gcf_factor(s, x))
+    return ln_f + math.log(_gcf_factor(s, x))
 
 
 def reg_gamma_upper(s: float, x: float) -> float:
@@ -120,9 +121,10 @@ def reg_gamma_lower_log(s: float, x: float) -> float:
     _check_gamma_args(s, x)
     if x == 0.0:
         return -math.inf
+    ln_f = math.log(s) + _log_poisson(s, x)   # ln(e^-x x^s / Gamma(s)), accurate at large s
     if x < s + 1.0:
-        return math.log(_gser_sum(s, x)) - x + s * math.log(x) - math.lgamma(s)
-    q = _gcf_factor(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s))
+        return math.log(_gser_sum(s, x)) + ln_f
+    q = _gcf_factor(s, x) * math.exp(ln_f)
     return math.log1p(-q) if q < 0.5 else math.log(1.0 - q)
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from logndiv.channel import (ChannelSpec, DerivedParams, a_from_rho, derive_params,
-                             iter_latent_batches, rho_from_a, sample_gains)
+from logndiv.channel import (ChannelSpec, DerivedParams, a_from_rho, batch_rng, derive_params,
+                             iter_latent_batches, log_det_mixing, rho_from_a, sample_gains)
 from logndiv.errors import DomainError
 
 
@@ -91,12 +91,15 @@ class TestDeriveParams:
 
     def test_independent_flag(self):
         p = derive_params(ChannelSpec(L=3, rho=0.0, sigma_G=0.8, mu_G=1.0))
-        assert p.independent and p.a is None and p.detA is None
-        assert p.mu_X == 1.0 and p.sigma_X == 0.8
+        assert p.w == 0.0 and (p.mu_G, p.sigma_G) == (1.0, 0.8)
+        with pytest.raises(DomainError):
+            p.a
 
     def test_single_branch_is_independent(self):
         p = derive_params(ChannelSpec(L=1, rho=0.0, sigma_G=0.8, mu_G=0.0))
-        assert p.independent
+        assert p.w == 0.0
+        with pytest.raises(DomainError):
+            p.a
 
     def test_latent_std_value(self):
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=1.0, mu_G=0.0))
@@ -114,7 +117,8 @@ class TestDeriveParams:
         for L in range(2, 7):
             p = derive_params(ChannelSpec(L=L, rho=0.35, sigma_G=0.7, mu_G=0.0))
             m = np.full((L, L), 1.0) + (p.a - 1.0) * np.eye(L)
-            assert p.detA == pytest.approx(float(np.linalg.det(m)), rel=1e-10)
+            assert math.exp(log_det_mixing(p.a, L)) == pytest.approx(
+                float(np.linalg.det(m)), rel=1e-10)
 
     def test_with_er_rescales_anchor(self):
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=1.0))
@@ -149,6 +153,13 @@ class TestSampling:
         s = sample_gains(p, 5000, seed=8)
         assert np.all(s.gains > 0)
         assert np.array_equal(s.gains, np.exp(s.latent))
+
+    def test_rho0_batch_is_a_direct_draw(self):
+        # At w = 0 the mix is skipped: one batch is the plain N(mu_G, sigma_G) draw.
+        p = derive_params(ChannelSpec(L=3, rho=0.0, sigma_G=0.8, mu_G=0.3))
+        batches = list(iter_latent_batches(p, 5000, seed=17, batch_size=2000))
+        expected = batch_rng(17, 1).normal(0.3, 0.8, (2000, 3))
+        assert np.array_equal(batches[1], expected)
 
     def test_bit_exact_reproducibility(self):
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, mu_G=0.0))

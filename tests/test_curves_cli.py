@@ -218,14 +218,36 @@ def _flag(argv, flag, value):
      "--er-db", "0:10:5"],
     ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
      "--scheme", "sc", "--er-db", "0:10:1e-300"],
+    ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "1e200", "--gamma-th", "0.1",
+     "--scheme", "sc", "--er-db", "0:10:5"],
+    ["simulate", "--L", "2", "--rho", "0.5", "--sigma-g", "1e200", "--gamma-th", "0.1",
+     "--scheme", "sc", "--er-db", "0:10:5", "--samples", "1000"],
+    _flag(_flag(_SUMCDF, "--sigma-g", "1e200"), "--method", "fw"),
+    _flag(_flag(_SUMCDF, "--mu-g", "1e300"), "--method", "fw"),
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
-        "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points"])
+        "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
+        "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
+        "fw-sigma-squared-overflow", "fw-mean-overflow"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
     assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme", ["sc", "egc", "mrc"])
+def test_regime_edge_beyond_float_range_is_annotated(scheme, tmp_path):
+    # At sigma_G = 30 the smallest valid Er is about 7800 dB, past the float range in watts.
+    out = tmp_path / "big.csv"
+    assert main(["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "30", "--gamma-th", "0.1",
+                 "--scheme", scheme, "--er-db", "0:10:5", "--out", str(out)]) == 0
+    with open(out) as f:
+        _, curves = read_curves(f)
+    notes = [p.note.split("=") for p in curves[0].points]
+    assert len(notes) == 3
+    assert all(k == "below_asymptotic_regime;min_er_db" and 7700 < float(v) < 7900
+               for k, v in notes)
 
 
 _ASYMPTOTIC = ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
