@@ -257,6 +257,8 @@ def sc_asymptote_decomposition(params: DerivedParams, q: OutageQuery) -> Asympto
 
 def single_branch_outage_exact(mu_G: float, sigma_G: float, gamma_th: float) -> float:
     """Exact outage of one lognormal branch: Pr{exp(2G) < gamma_th}."""
+    if not (math.isfinite(sigma_G) and sigma_G > 0.0):
+        raise DomainError(f"sigma_G must be finite and > 0, got {sigma_G!r}")
     if not (math.isfinite(gamma_th) and gamma_th > 0.0):
         raise DomainError(f"gamma_th must be finite and > 0, got {gamma_th!r}")
     return gaussian_q((mu_G - 0.5 * math.log(gamma_th)) / sigma_G)

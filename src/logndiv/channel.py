@@ -30,6 +30,9 @@ from .errors import DomainError
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# Most float64 values one sampling batch may hold (1 GiB): every batch is drawn whole.
+MAX_BATCH_VALUES = 2 ** 27
+
 
 def rho_from_a(a: float, L: int) -> float:
     """Pairwise exponent correlation induced by mixing weight a >= 1.
@@ -53,8 +56,9 @@ def a_from_rho(rho: float, L: int) -> float:
 
 
 def mixing_weight(rho: float, L: int) -> float:
-    """w = 1/a in [0, 1) realizing correlation rho over L >= 2 branches; 0 at rho = 0."""
-    return 1.0 / a_from_rho(rho, L) if rho > 0.0 else 0.0
+    """w = 1/a in [0, 1) realizing correlation rho over L branches. It is 0
+    at rho = 0 and at L = 1, where the correlation of one branch is vacuous."""
+    return 1.0 / a_from_rho(rho, L) if rho > 0.0 and L > 1 else 0.0
 
 
 def mu_g_from_er(er_watts: float, sigma_G: float) -> float:
@@ -199,8 +203,8 @@ class DerivedParams:
 
 
 def derive_params(spec: ChannelSpec) -> DerivedParams:
-    """Resolve a ChannelSpec into sampling/asymptotics parameters (L = 1 is w = 0 too)."""
-    w = mixing_weight(spec.rho, spec.L) if spec.L > 1 else 0.0
+    """Resolve a ChannelSpec into sampling/asymptotics parameters."""
+    w = mixing_weight(spec.rho, spec.L)
     return DerivedParams(L=spec.L, rho=spec.rho if w else 0.0, sigma_G=spec.sigma_G,
                          mu_G=spec.mu_g_value, w=w)
 
@@ -225,14 +229,18 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 def iter_latent_batches(params: DerivedParams, n: int, seed: int,
                         batch_size: int = 1_000_000) -> Iterator[np.ndarray]:
     """Yield (batch, L) arrays of exponents G_l, deterministically for fixed
-    (seed, n, batch_size) regardless of how the consumer schedules work."""
+    (seed, n, batch_size) regardless of how the consumer schedules work. A
+    batch of more than MAX_BATCH_VALUES draws is refused before any is drawn."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample count must be an integer >= 1, got {n!r}")
     if not (isinstance(batch_size, (int, np.integer)) and batch_size >= 1):
         raise DomainError(f"batch size must be an integer >= 1, got {batch_size!r}")
+    L, w = params.L, params.w
+    if min(batch_size, n) * L > MAX_BATCH_VALUES:
+        raise DomainError(f"one batch of {min(batch_size, n)} x {L} draws holds more than "
+                          f"{MAX_BATCH_VALUES} values (1 GiB); lower --batch-size")
     # X' = a*X ~ N(mu_G/s, sigma_G^2/s2) and G = (1-w) X' + w sum X'; at w = 0
     # the mix is the identity, so it is skipped and G is drawn directly.
-    L, w = params.L, params.w
     mu = params.mu_G / (1.0 + (L - 1) * w)
     sd = params.sigma_G / math.sqrt(1.0 + (L - 1) * w * w)
     for batch_index, start in enumerate(range(0, n, batch_size)):

@@ -67,17 +67,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _sanitize(obj):
-    # NaN is not valid JSON; it only appears where a field is inapplicable.
-    if isinstance(obj, float):
-        return None if obj != obj else obj
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _emit(curves: list[Curve], meta: dict, out: Optional[str], fmt: str) -> None:
     if fmt == "csv":
         text = curves_to_text(curves, meta)
@@ -85,7 +74,7 @@ def _emit(curves: list[Curve], meta: dict, out: Optional[str], fmt: str) -> None
         payload = {"meta": meta, "curves": [
             {**{k: v for k, v in asdict(c).items() if k != "points"},
              "points": [asdict(p) for p in c.points]} for c in curves]}
-        text = json.dumps(_sanitize(payload), indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out:
         _write_atomic(out, text)
     else:

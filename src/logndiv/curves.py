@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,7 +39,7 @@ class Curve:
     L: int
     rho: float
     sigma_G: float
-    gamma_th: float
+    gamma_th: Optional[float]    # None where no threshold applies (sum-CDF curves)
     points: tuple[CurvePoint, ...] = field(default_factory=tuple)
     x_kind: str = "er_db"
 
@@ -59,8 +58,6 @@ def _fmt(v, digits: int = 12) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        if math.isnan(v):
-            return ""
         return f"{v:.{digits}e}"
     return str(v)
 
@@ -134,6 +131,6 @@ def read_curves(stream) -> tuple[dict, list[Curve]]:
         curves.append(Curve(
             label=label, scheme=first["scheme"], source=first["source"],
             L=int(first["L"]), rho=float(first["rho"]), sigma_G=float(first["sigma_G"]),
-            gamma_th=float(first["gamma_th"]) if first["gamma_th"] else math.nan,
+            gamma_th=opt_float(first["gamma_th"]),
             points=pts, x_kind=first["x_kind"]))
     return meta, curves

@@ -78,10 +78,13 @@ def _estimate_from_hits(hits: int, n: int) -> SimEstimate:
 
 def simulate_outage_multi(params: DerivedParams, schemes: Sequence[SchemeKind],
                           q: OutageQuery, cfg: SimConfig) -> dict[SchemeKind, SimEstimate]:
-    """Estimate outage for several schemes from one common gain stream
-    (common random numbers), the default for scheme comparisons."""
+    """Estimate outage at q.er for several schemes from one common gain
+    stream (common random numbers), the default for scheme comparisons.
+    Like the closed forms, it reads the power from the query, not from the
+    anchor in params."""
     hits = {s: 0 for s in schemes}
-    for latent in iter_latent_batches(params, cfg.samples, cfg.seed, cfg.batch_size):
+    draws = iter_latent_batches(params.with_er(q.er), cfg.samples, cfg.seed, cfg.batch_size)
+    for latent in draws:
         gains = np.exp(latent)
         for s in schemes:
             hits[s] += int(np.count_nonzero(combiner_snr(s, gains) < q.gamma_th))
@@ -109,8 +112,7 @@ def sweep(params: DerivedParams, scheme: SchemeKind, gamma_th: float,
     dropped."""
     pts = []
     for i, er in enumerate(er_grid):
-        p = params.with_er(er)
-        est = simulate_outage(p, scheme, OutageQuery(gamma_th, er),
+        est = simulate_outage(params, scheme, OutageQuery(gamma_th, er),
                               SimConfig(cfg.samples, point_seed(cfg.seed, i), cfg.batch_size))
         note = ""
         if est.resolution_exhausted:

@@ -19,10 +19,11 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import log_ndtr
 
+from .asymptotics import single_branch_outage_exact
 from .channel import _U64
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
-from .special_fn import gaussian_q, reg_gamma_upper_log
+from .special_fn import reg_gamma_upper_log
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -36,9 +37,7 @@ def sc_outage_exact_indep(L: int, mu_G: float, sigma_G: float, gamma_th: float) 
     CDF raised to the L-th power."""
     if not (isinstance(L, (int, np.integer)) and L >= 1):
         raise DomainError(f"branch count must be an integer >= 1, got {L!r}")
-    if not (math.isfinite(gamma_th) and gamma_th > 0.0):
-        raise DomainError(f"gamma_th must be > 0, got {gamma_th!r}")
-    return gaussian_q((mu_G - 0.5 * math.log(gamma_th)) / sigma_G) ** L
+    return single_branch_outage_exact(mu_G, sigma_G, gamma_th) ** L
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..asymptotics import OutageQuery, outage_asym, single_branch_outage_exact, sum_lognormal_cdf_asym
+from ..asymptotics import OutageQuery, outage_asym, sum_lognormal_cdf_asym
 from ..baselines import fenton_wilkinson_cdf
-from ..channel import ChannelSpec, derive_params, mu_g_from_er
+from ..channel import ChannelSpec, derive_params
 from ..curves import Curve, CurvePoint
 from ..errors import BelowAsymptoticRegimeError, DomainError
 from ..montecarlo import SimConfig, sweep
@@ -53,36 +54,36 @@ def er_grid_from(cfg: dict) -> list[float]:
         raise DomainError(f"grid {cfg!r} reaches past the largest float in watts") from None
 
 
+def _closed_form_point(x: float, evaluate: Callable[[], float],
+                       below_note: Callable[[BelowAsymptoticRegimeError], str]) -> CurvePoint:
+    """One closed-form point. Below the validity region (note from
+    below_note) or where the raw approximation exceeds 1 the point is
+    annotated, not dropped."""
+    try:
+        value = evaluate()
+    except BelowAsymptoticRegimeError as exc:
+        return CurvePoint(x=x, outage=None, note=below_note(exc))
+    if value > 1.0:
+        return CurvePoint(x=x, outage=None, note=f"above_unity;raw={value:.6e}")
+    return CurvePoint(x=x, outage=value)
+
+
+def _below_er(exc: BelowAsymptoticRegimeError) -> str:
+    return f"below_asymptotic_regime;min_er_db={10.0 * exc.ln_bound / math.log(10.0):.6f}"
+
+
 def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
                      er_grid: list[float], label: Optional[str] = None) -> Curve:
-    """Closed-form curve over an Er grid; points below the validity region
-    or where the raw approximation exceeds 1 are annotated, not dropped."""
+    """Closed-form curve over an Er grid. At L = 1 every scheme is the exact
+    lognormal CDF, so that curve's source is 'exact'."""
     params = derive_params(spec)
-    pts = []
-    for er in er_grid:
-        note = ""
-        outage: Optional[float]
-        try:
-            outage = outage_asym(params, scheme, OutageQuery(gamma_th, er))
-            if outage > 1.0:
-                note = f"above_unity;raw={outage:.6e}"
-                outage = None
-        except BelowAsymptoticRegimeError as exc:
-            note = f"below_asymptotic_regime;min_er_db={10.0 * exc.ln_bound / math.log(10.0):.6f}"
-            outage = None
-        pts.append(CurvePoint(x=10.0 * math.log10(er), outage=outage, note=note))
+    pts = tuple(_closed_form_point(10.0 * math.log10(er),
+                                   partial(outage_asym, params, scheme, OutageQuery(gamma_th, er)),
+                                   _below_er)
+                for er in er_grid)
     return Curve(label=label or f"{scheme.value}-asym-L{spec.L}-rho{spec.rho:g}",
-                 scheme=scheme.value, source="asymptotic", L=spec.L, rho=spec.rho,
-                 sigma_G=spec.sigma_G, gamma_th=gamma_th, points=tuple(pts))
-
-
-def single_branch_curve(sigma_G: float, gamma_th: float, er_grid: list[float]) -> Curve:
-    pts = []
-    for er in er_grid:
-        outage = single_branch_outage_exact(mu_g_from_er(er, sigma_G), sigma_G, gamma_th)
-        pts.append(CurvePoint(x=10.0 * math.log10(er), outage=outage))
-    return Curve(label="single-branch-exact", scheme="sc", source="exact", L=1,
-                 rho=0.0, sigma_G=sigma_G, gamma_th=gamma_th, points=tuple(pts))
+                 scheme=scheme.value, source="exact" if spec.L == 1 else "asymptotic",
+                 L=spec.L, rho=spec.rho, sigma_G=spec.sigma_G, gamma_th=gamma_th, points=pts)
 
 
 def _y_grid(cfg: dict) -> list[float]:
@@ -93,8 +94,8 @@ def _y_grid(cfg: dict) -> list[float]:
     if cfg.get("spacing", "log") == "log":
         if start <= 0.0:
             raise DomainError("log-spaced y grid needs start > 0")
-        return list(np.geomspace(start, stop, n))
-    return list(np.linspace(start, stop, n))
+        return np.geomspace(start, stop, n).tolist()
+    return np.linspace(start, stop, n).tolist()
 
 
 def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
@@ -102,32 +103,23 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
     """Sum-CDF curve by one of: the tail approximation ('asym'), the
     moment-matched lognormal ('fw'), or adaptive quadrature ('quadrature',
     two branches only)."""
+    sources = {"asym": "asymptotic", "fw": "baseline", "quadrature": "exact"}
+    if method not in sources:
+        raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")
     if method == "quadrature" and L != 2:
         raise DomainError("quadrature sum-CDF is implemented for L = 2 only")
     pts = []
     for y in y_grid:
-        note = ""
-        value: Optional[float]
         if method == "asym":
-            try:
-                value = sum_lognormal_cdf_asym(L, rho, mu_G, sigma_G, y)
-                if value > 1.0:
-                    note = f"above_unity;raw={value:.6e}"
-                    value = None
-            except BelowAsymptoticRegimeError as exc:
-                note = "beyond_tail_region"
-                value = None
+            pts.append(_closed_form_point(
+                y, partial(sum_lognormal_cdf_asym, L, rho, mu_G, sigma_G, y),
+                lambda exc: "beyond_tail_region"))
         elif method == "fw":
-            value = fenton_wilkinson_cdf(L, rho, mu_G, sigma_G, y)
-        elif method == "quadrature":
-            value = sum2_cdf_quadrature(mu_G, sigma_G, rho, y)
+            pts.append(CurvePoint(x=y, outage=fenton_wilkinson_cdf(L, rho, mu_G, sigma_G, y)))
         else:
-            raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")
-        pts.append(CurvePoint(x=y, outage=value, note=note))
-    source = {"asym": "asymptotic", "fw": "baseline", "quadrature": "exact"}[method]
-    return Curve(label=label or f"sumcdf-{method}", scheme="egc", source=source,
-                 L=L, rho=rho, sigma_G=sigma_G, gamma_th=float("nan"),
-                 points=tuple(pts), x_kind="y")
+            pts.append(CurvePoint(x=y, outage=sum2_cdf_quadrature(mu_G, sigma_G, rho, y)))
+    return Curve(label=label or f"sumcdf-{method}", scheme="egc", source=sources[method],
+                 L=L, rho=rho, sigma_G=sigma_G, gamma_th=None, points=tuple(pts), x_kind="y")
 
 
 def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
@@ -154,8 +146,10 @@ def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
                                 SimConfig(samples, seed, min(batch_size, samples)))
                     curves.append(replace(sim, label=label + "-sim"))
         if "baseline_single_branch" in preset:
-            curves.append(single_branch_curve(
-                float(preset["baseline_single_branch"]["sigma_G"]), gamma_th, er_grid))
+            spec = ChannelSpec(L=1, rho=0.0, Er=1.0,
+                               sigma_G=float(preset["baseline_single_branch"]["sigma_G"]))
+            curves.append(asymptotic_curve(spec, SchemeKind.SC, gamma_th, er_grid,
+                                           label="single-branch-exact"))
         if samples:
             meta["samples"] = str(samples)
             meta["seed"] = str(seed)

@@ -249,6 +249,12 @@ class TestSumCdf:
         with pytest.raises(DomainError):
             sum_lognormal_cdf_asym(2, 0.0, 0.0, 0.5, -1.0)
 
+    def test_single_branch_correlation_is_vacuous(self):
+        # L = 1 is the point w = 0, whatever rho.
+        for y in (0.1, 0.5, 1.0):
+            assert sum_lognormal_cdf_asym(1, 0.5, 0.0, 0.8, y) == \
+                sum_lognormal_cdf_asym(1, 0.0, 0.0, 0.8, y)
+
 
 class TestDecomposition:
     def test_reassembly(self):
@@ -313,6 +319,11 @@ class TestDispatcher:
         expect = single_branch_outage_exact(0.5 * math.log(q.er) - 0.64, 0.8, 0.1)
         for s in SchemeKind:
             assert outage_asym(p, s, q) == pytest.approx(expect, rel=1e-14)
+
+    def test_single_branch_exact_domain(self):
+        for sg in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                single_branch_outage_exact(0.0, sg, 0.1)
 
     def test_scheme_dispatch(self):
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=1.0))

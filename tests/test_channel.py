@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from logndiv.channel import (ChannelSpec, DerivedParams, a_from_rho, batch_rng, derive_params,
-                             iter_latent_batches, log_det_mixing, rho_from_a, sample_gains)
+from logndiv import channel
+from logndiv.channel import (MAX_BATCH_VALUES, ChannelSpec, DerivedParams, a_from_rho, batch_rng,
+                             derive_params, iter_latent_batches, log_det_mixing, mixing_weight,
+                             rho_from_a, sample_gains)
 from logndiv.errors import DomainError
 
 
@@ -101,6 +103,11 @@ class TestDeriveParams:
         with pytest.raises(DomainError):
             p.a
 
+    def test_single_branch_correlation_is_vacuous(self):
+        assert mixing_weight(0.5, 1) == 0.0
+        p = derive_params(ChannelSpec(L=1, rho=0.5, sigma_G=0.8, mu_G=0.0))
+        assert (p.w, p.rho) == (0.0, 0.0)
+
     def test_latent_std_value(self):
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=1.0, mu_G=0.0))
         assert p.sigma_X == pytest.approx(0.258819, abs=1e-6)
@@ -187,3 +194,17 @@ class TestSampling:
         p = derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, mu_G=0.0))
         with pytest.raises(DomainError):
             sample_gains(p, 0, seed=1)
+
+    def test_oversized_batch_refused_before_drawing(self, monkeypatch):
+        # A batch of 1000 x 10^8 draws would need 800 GB: it must be refused
+        # before any stream is made, so a missing check fails here instead.
+        def no_draw(*_):
+            raise AssertionError("drew before checking the batch size")
+        monkeypatch.setattr(channel, "batch_rng", no_draw)
+        p = derive_params(ChannelSpec(L=10 ** 8, rho=0.5, sigma_G=0.8, mu_G=0.0))
+        with pytest.raises(DomainError, match="--batch-size"):
+            next(iter_latent_batches(p, 1000, seed=1))
+        small = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, mu_G=0.0))
+        with pytest.raises(DomainError):
+            next(iter_latent_batches(small, MAX_BATCH_VALUES, seed=1,
+                                     batch_size=MAX_BATCH_VALUES // 2 + 1))

@@ -9,10 +9,13 @@ import json
 import os
 import tempfile
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from logndiv.cli import main
+from logndiv.presets import PRESET_NAMES
+from logndiv.verify_suites import SUITES
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -87,3 +90,34 @@ def test_config(fields, anchor, s, cmd):
         if cmd == "simulate":
             argv.append("--samples=1000")
         _exit_code(argv)
+
+
+# None leaves the flag out. Samples stay at most 1500 and batches at least 500
+# (or refused), so that every example runs in milliseconds.
+FIGURE = {"preset": PRESET_NAMES + ("fig0",),
+          "--samples": (None, "-1", "0", "999", "1000", "1500"),
+          "--batch-size": ("-1", "0", "500", str(10 ** 12)),
+          "--seed": ("-1", "0", str(2 ** 64), str(2 ** 80)),
+          "--format": ("csv", "obj", "tsv")}
+
+
+def _with_every_value(test):
+    """Explicit examples that give every field each of its values."""
+    for i in range(max(len(v) for v in FIGURE.values())):
+        test = example(fields={k: v[i % len(v)] for k, v in FIGURE.items()})(test)
+    return test
+
+
+# Every example writes the same file under tmp_path, so sharing it across examples is safe.
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@_with_every_value
+@given(fields=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in FIGURE.items()}))
+def test_figure(fields, tmp_path):
+    argv = ["figure", fields["preset"], f"--out={tmp_path / 'fig.out'}"]
+    argv += [f"{k}={v}" for k, v in fields.items() if k != "preset" and v is not None]
+    _exit_code(argv)
+
+
+@pytest.mark.parametrize("suite", SUITES + ("all", "bogus"))
+def test_verify(suite, tmp_path):
+    _exit_code(["verify", f"--suite={suite}", f"--out={tmp_path / 'report.json'}"])

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from logndiv import channel
 from logndiv.cli import main
 from logndiv.curves import Curve, CurvePoint, curves_to_text, read_curves
 from logndiv.errors import DomainError
@@ -224,16 +225,54 @@ def _flag(argv, flag, value):
      "--scheme", "sc", "--er-db", "0:10:5", "--samples", "1000"],
     _flag(_flag(_SUMCDF, "--sigma-g", "1e200"), "--method", "fw"),
     _flag(_flag(_SUMCDF, "--mu-g", "1e300"), "--method", "fw"),
+    _flag(_flag(_SUMCDF, "--y", "0:0.2:0.1"), "--method", "fw"),
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
-        "fw-sigma-squared-overflow", "fw-mean-overflow"])
+        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
     assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "np.float64" not in err
+
+
+def test_oversized_simulation_batch_is_domain_error(monkeypatch, capsys):
+    # 1000 rows x 10^8 branches would be an 800 GB draw; it must be refused before drawing.
+    def no_draw(*_):
+        raise AssertionError("drew before checking the batch size")
+    monkeypatch.setattr(channel, "batch_rng", no_draw)
+    argv = ["simulate", "--L", "100000000", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th",
+            "0.1", "--scheme", "sc", "--er-db", "0:0:1", "--samples", "1000"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--batch-size" in err
+
+
+def _points(path):
+    with open(path) as f:
+        _, curves = read_curves(f)
+    return curves, [(p.x, p.outage, p.note) for c in curves for p in c.points]
+
+
+def test_single_branch_sumcdf_ignores_rho(tmp_path):
+    # One branch has no correlation: rho = 0.5 is the same channel as rho = 0.
+    outs = []
+    for rho in ("0", "0.5"):
+        out = tmp_path / f"rho{rho}.csv"
+        argv = _flag(_flag(_SUMCDF, "--L", "1"), "--rho", rho) + ["--out", str(out)]
+        assert main(argv) == 0
+        outs.append(_points(out)[1])
+    assert outs[0] == outs[1] and all(v is not None for _, v, _ in outs[0])
+
+
+def test_single_branch_asymptotic_is_exact(tmp_path):
+    out = tmp_path / "l1.csv"
+    assert main(_flag(_ASYMPTOTIC, "--L", "1") + ["--out", str(out)]) == 0
+    curves, _ = _points(out)
+    assert [c.source for c in curves] == ["exact"]
 
 
 @pytest.mark.parametrize("scheme", ["sc", "egc", "mrc"])

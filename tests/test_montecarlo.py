@@ -40,6 +40,16 @@ class TestSimulateOutage:
         est = simulate_outage_multi(p, ALL, q, cfg)
         assert est[SchemeKind.SC] == est[SchemeKind.EGC] == est[SchemeKind.MRC]
 
+    def test_query_er_wins_over_params_anchor(self):
+        # The params are anchored at 0 dB, the query at 20 dB: the estimate is
+        # the 20 dB outage (closed form 8.75e-6), not the 0 dB one (0.129).
+        p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=1.0))
+        q = OutageQuery(0.1, 100.0)
+        cfg = SimConfig(100_000, 3)
+        est = simulate_outage(p, SchemeKind.SC, q, cfg)
+        assert est.p_hat < 1e-3
+        assert est == simulate_outage(p.with_er(100.0), SchemeKind.SC, q, cfg)
+
     def test_quarter_point(self):
         # Independent dual-branch SC at Er = gamma * exp(2 sigma^2): the exact
         # outage is Q(0)^2 = 1/4.

@@ -26,6 +26,11 @@ class TestExactScIndep:
         v = sc_outage_exact_indep(1, 0.3, 0.9, 0.2)
         assert v == pytest.approx(single_branch_outage_exact(0.3, 0.9, 0.2), rel=1e-14)
 
+    def test_domain(self):
+        for sg in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sc_outage_exact_indep(2, 0.0, sg, 0.1)
+
     def test_against_mc(self):
         sg, gamma, er = 0.8, 0.1, 8.0
         mu = 0.5 * math.log(er) - sg * sg
