@@ -125,7 +125,8 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
 def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
                   batch_size: int = 1_000_000) -> tuple[dict, list[Curve]]:
     """Build all curves of a preset. For outage presets, `samples` adds
-    simulated curves next to the closed forms."""
+    simulated curves next to the closed forms; sum-CDF presets have none, so
+    asking them for samples is a domain error."""
     preset = load_preset(name)
     meta = {"preset": name, "description": preset["description"]}
     curves: list[Curve] = []
@@ -154,6 +155,9 @@ def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
             meta["samples"] = str(samples)
             meta["seed"] = str(seed)
     elif preset["kind"] == "sumcdf":
+        if samples is not None:
+            raise DomainError(f"preset {name!r} has no simulated curves, "
+                              "so it takes no sample count")
         y_grid = _y_grid(preset["y"])
         for s2 in preset["sigma_sq"]:
             sg = math.sqrt(float(s2))

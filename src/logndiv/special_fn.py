@@ -8,14 +8,21 @@ linear value is the exp (for Marcum-Q, -expm1) of that log clamped at 0, so
 every linear value lies in [0, 1]. The clamp binds only where the series for
 ln P(s, x) rounds a few ulps above 0, once s is below about 1e-14.
 
-The noncentral chi-squared log-CDF is one bounded forward pass over the dual
-series of Ding (1992, Appl. Statist. 41, AS 275), whose summand is unimodal.
+The noncentral chi-squared log-CDF sums the dual series of Ding (1992, Appl.
+Statist. 41, AS 275), whose summand is unimodal, over one numpy window
+around its peak. The window is widened until both of its ends lie 46 nats
+below the peak (or it starts at m = 0). A series whose summand rises for
+more than _NCX2_MAX_TERMS terms, or whose window would grow past that many,
+is refused. The incomplete-gamma series is refused before its first term
+where a lower bound on the terms it needs exceeds its iteration cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, SeriesCapError
 
@@ -27,6 +34,8 @@ _FPMIN = 1e-300
 _ITMAX = 10 ** 6
 # Longest noncentral chi-squared series summed; a longer one is a domain error.
 _NCX2_MAX_TERMS = 10 ** 7
+# Terms evaluated per numpy pass of that series.
+_NCX2_CHUNK = 2 ** 16
 
 
 def gaussian_q(x: float) -> float:
@@ -62,6 +71,13 @@ def _check_gamma_args(s: float, x: float) -> None:
 def _gser_sum(s: float, x: float) -> float:
     # Series part of P(s,x): sum_{n>=0} x^n / (s(s+1)...(s+n)) * s, i.e.
     # P = sum * x^s e^-x / Gamma(s) with sum = 1/s * (1 + ...).
+    # Here x < s + 1, so no term exceeds the first, 1/s, and term n is at
+    # least exp(-n (s + n - x) / x) / s. The loop cannot stop at term n while
+    # that is above _EPS (n + 1) / s; if it still is at n = _ITMAX, the loop
+    # would run out, so the call is refused before it starts.
+    if _ITMAX * (s + _ITMAX - x) / x + math.log(_ITMAX + 1.0) <= -math.log(_EPS):
+        raise SeriesCapError(f"incomplete gamma series needs more than {_ITMAX} terms "
+                             f"(s={s}, x={x})")
     ap = s
     term = 1.0 / s
     total = term
@@ -133,18 +149,51 @@ def reg_gamma_lower(s: float, x: float) -> float:
     return math.exp(min(reg_gamma_lower_log(s, x), 0.0))
 
 
-def _log_poisson(n: float, mean: float) -> float:
-    """ln(e^-mean mean^n / Gamma(n + 1)) for real n >= 0 and mean > 0. Above
-    n = 15 in Loader's saddle-point form -stirlerr - bd0 - ln(2 pi n)/2, whose
-    rounding error is near eps*|n - mean|, not the eps*n*ln(n) of lgamma."""
-    if n <= 15.0:
+def _log_poisson(n, mean):
+    """ln(e^-mean mean^n / Gamma(n + 1)) for n >= 0 and mean > 0: floats, or
+    numpy arrays that broadcast together. Above n = 15 in Loader's
+    saddle-point form -stirlerr - bd0 - ln(2 pi n)/2, whose rounding error
+    is near eps*|n - mean|, not the eps*n*ln(n) of lgamma."""
+    if not isinstance(n, np.ndarray) and n <= 15.0:
         return n * math.log(mean) - mean - math.lgamma(n + 1.0)
-    d = n - mean
-    bd0 = n * (math.log1p(d / mean) if abs(d) < mean else math.log(n) - math.log(mean)) - d
+    n, mean = np.asarray(n, dtype=float), np.asarray(mean, dtype=float)
+    small = n <= 15.0
+    big = np.where(small, 16.0, n)   # entries at or below 15 are replaced below
+    d = big - mean
+    # ln(n / mean): log1p near the mean; min() keeps the unused quotient finite.
+    bd0 = big * np.where(np.abs(d) < mean, np.log1p(np.minimum(d, mean) / mean),
+                         np.log(big) - np.log(mean)) - d
     # ln Gamma(n + 1) - (n + 1/2) ln n + n - ln(2 pi)/2, Stirling's series.
-    nn = 1.0 / (n * n)
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
-    return -stirlerr - bd0 - 0.5 * math.log(2.0 * math.pi * n)
+    nn = 1.0 / (big * big)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / big
+    out = -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * big)
+    if out.ndim == 0:
+        return float(out)
+    if small.any():
+        out[small] = ((n * np.log(mean) - mean)[small]
+                      - [math.lgamma(v + 1.0) for v in n[small].tolist()])
+    return out
+
+
+def _ncx2_log_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndarray:
+    """ln(d_m C_m) for m0 <= m < m1, the terms of noncentral_chi2_cdf_log.
+    C at m0 is one incomplete gamma, ln Q(m0 + 1, h), or the first Poisson
+    term e^-h at m0 = 0; the Poisson terms past it are log-added on, in
+    chunks, so that a long window holds one array of its own length."""
+    t = np.empty(m1 - m0)
+    ln_c = None   # ln C at the end of the last chunk
+    for a in range(m0, m1, _NCX2_CHUNK):
+        b = min(a + _NCX2_CHUNK, m1)
+        # Row 0: the Poisson(h) terms at m; row 1: the gamma density at s + m.
+        ln_p, ln_d = _log_poisson(np.arange(a, b, dtype=float) + [[0.0], [s]], [[h], [y]])
+        if ln_c is not None:
+            ln_p[0] = np.logaddexp(ln_c, ln_p[0])
+        elif a > 0:
+            ln_p[0] = reg_gamma_upper_log(a + 1.0, h)
+        acc = np.logaddexp.accumulate(ln_p)
+        t[a - m0:b - m0] = ln_d + acc
+        ln_c = acc[-1]
+    return t
 
 
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
@@ -155,10 +204,17 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
 
     With s = k/2, y = x/2 and h = lam/2, P = sum_m d_m C_m: d_m is the
     gamma density e^-y y^(s+m) / Gamma(s+m+1) and C_m the Poisson(h) CDF at m.
-    Both are log-concave in m, so the summand is unimodal. One pass log-adds
-    C_m, sums the terms against the running peak and stops 46 nats below it.
-    The summand rises until about m = max(y, sqrt(y h)) - s or later; a series
-    that would rise for more than _NCX2_MAX_TERMS terms is refused at once.
+    Both are log-concave in m, so the summand is unimodal. Its peak lies
+    near c = r - s with r = max(y, sqrt(y h)), and there its log has a
+    curvature of at least about 1/r, so 46 nats down lie within about
+    sqrt(92 r) terms of it. The sum runs over a window of that many terms
+    plus 50 on each side of c, cut at m = 0: ln C at its left edge m0
+    is one ln Q(m0 + 1, h) (-h at m0 = 0), and numpy log-adds the Poisson
+    terms across it. If an end of the window, other than m = 0, is not 46
+    nats below the peak, the window is centred on the peak found and its
+    half-width doubled. A series whose summand would rise for more than
+    _NCX2_MAX_TERMS terms is refused at once, and so is one whose window
+    would grow past that many terms.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
@@ -172,26 +228,26 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
         return -math.inf
     if h == 0.0:
         return reg_gamma_lower_log(s, y)
-    rise = max(y, math.sqrt(y * h)) - s
+    r = max(y, math.sqrt(y * h))
+    rise = r - s
     if rise > _NCX2_MAX_TERMS:
         raise SeriesCapError(f"noncentral chi-squared series rises for {rise:.3g} terms, "
                              f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
 
-    ln_c = peak = -math.inf
-    total = 0.0  # sum of exp(term - peak)
-    for m in range(_NCX2_MAX_TERMS):
-        ln_p = _log_poisson(m, h)
-        ln_c = max(ln_c, ln_p) + math.log1p(math.exp(-abs(ln_c - ln_p)))
-        t = _log_poisson(s + m, y) + ln_c
-        if t > peak:
-            total = total * math.exp(peak - t) + 1.0
-            peak = t
-        elif t < peak - 46.0:
-            return min(peak + math.log(total), 0.0)
-        else:
-            total += math.exp(t - peak)
-    raise SeriesCapError(f"noncentral chi-squared series still within 46 nats of its peak "
-                         f"after {_NCX2_MAX_TERMS} terms (k={k}, lam={lam}, x={x})")
+    centre = max(int(rise), 0)
+    half = int(math.sqrt(92.0 * r)) + 50
+    while True:
+        m0, m1 = max(centre - half, 0), centre + half + 1
+        if m1 - m0 > _NCX2_MAX_TERMS:
+            raise SeriesCapError(f"noncentral chi-squared window needs {m1 - m0} terms, "
+                                 f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
+        t = _ncx2_log_terms(s, y, h, m0, m1)
+        i = int(t.argmax())
+        peak = float(t[i])
+        if (m0 == 0 or t[0] < peak - 46.0) and t[-1] < peak - 46.0:
+            t -= peak
+            return min(peak + math.log(float(np.exp(t, out=t).sum())), 0.0)
+        centre, half = m0 + i, 2 * half
 
 
 def noncentral_chi2_cdf(k: float, lam: float, x: float) -> float:

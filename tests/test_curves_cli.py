@@ -226,10 +226,11 @@ def _flag(argv, flag, value):
     _flag(_flag(_SUMCDF, "--sigma-g", "1e200"), "--method", "fw"),
     _flag(_flag(_SUMCDF, "--mu-g", "1e300"), "--method", "fw"),
     _flag(_flag(_SUMCDF, "--y", "0:0.2:0.1"), "--method", "fw"),
+    ["figure", "fig7", "--samples", "1000"],
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
-        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero"])
+        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "sumcdf-preset-samples"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))

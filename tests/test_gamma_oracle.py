@@ -2,10 +2,14 @@
 shape: their common factor e^-x x^s / Gamma(s) holds terms of size s ln s
 that cancel, so it must be formed without them."""
 
+import math
+import time
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from logndiv.errors import SeriesCapError
 from logndiv.special_fn import reg_gamma_lower_log, reg_gamma_upper_log
 
 
@@ -34,3 +38,25 @@ def test_log_incomplete_gammas_match_mpmath_at_large_shape(s, x):
     ref_p, ref_q = gamma_ln_pq(s, x)
     assert abs(reg_gamma_lower_log(s, x) - ref_p) <= 1e-12 * max(1.0, abs(ref_p))
     assert abs(reg_gamma_upper_log(s, x) - ref_q) <= 1e-12 * max(1.0, abs(ref_q))
+
+
+@pytest.mark.parametrize("fn", [reg_gamma_lower_log, reg_gamma_upper_log])
+def test_series_past_the_iteration_cap_is_refused_at_once(fn):
+    # Near x = s the series needs about 8.6 sqrt(s) terms, 8.6e6 here: more
+    # than the cap, which the a-priori bound sees before the first term.
+    start = time.perf_counter()
+    with pytest.raises(SeriesCapError, match="more than"):
+        fn(1e12, 1e12)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("s", [1e5, 1e6, 1e7, 1e8])
+def test_shapes_the_ncx2_window_seed_reaches_still_return_values(s):
+    # mpmath gives up above s = 1e6, so P + Q = 1 is the check; at x = s,
+    # P is 1/2 + 1/(3 sqrt(2 pi s)) to first order.
+    for x in (s - 3.0 * math.sqrt(s), s, s + 3.0 * math.sqrt(s)):
+        ln_p, ln_q = reg_gamma_lower_log(s, x), reg_gamma_upper_log(s, x)
+        assert ln_p < 0.0 and ln_q < 0.0
+        assert abs(math.exp(ln_p) + math.exp(ln_q) - 1.0) <= 1e-10
+    p_mid = math.exp(reg_gamma_lower_log(s, s))
+    assert abs(p_mid - 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * s))) <= 1e-6

@@ -63,3 +63,25 @@ def test_ncx2_log_cdf_is_nonincreasing_in_noncentrality(k, lam1, lam2, x):
 @given(st.floats(0.5, 8.0), st.floats(0.0, 20.0), st.floats(0.0, 20.0))
 def test_marcum_q_is_a_probability(order, a, b):
     assert _is_probability(marcum_q(MarcumArgs(order, a, b)))
+
+
+# Up to lam = 1e6, where the kernel sums a window of some 2e4 terms around
+# the summand's peak, far from m = 0.
+big_noncentrality = st.floats(0.0, 1e6)
+big_point = st.floats(1e-300, 2e6)
+
+
+@given(dof, big_noncentrality, big_point, big_point)
+def test_ncx2_log_cdf_is_nondecreasing_in_x_up_to_lam_1e6(k, lam, x1, x2):
+    lo, hi = sorted((x1, x2))
+    ln_lo, ln_hi = noncentral_chi2_cdf_log(k, lam, lo), noncentral_chi2_cdf_log(k, lam, hi)
+    assert ln_hi <= 0.0
+    # Up to rounding, on the scale of the oracle bound.
+    assert ln_lo <= ln_hi + 1e-13 * max(1.0, abs(ln_hi))
+
+
+@given(dof, big_noncentrality, big_noncentrality, big_point)
+def test_ncx2_log_cdf_is_nonincreasing_in_noncentrality_up_to_lam_1e6(k, lam1, lam2, x):
+    lo, hi = sorted((lam1, lam2))
+    ln_lo, ln_hi = noncentral_chi2_cdf_log(k, lo, x), noncentral_chi2_cdf_log(k, hi, x)
+    assert ln_hi <= ln_lo + 1e-13 * max(1.0, abs(ln_lo))
