@@ -120,7 +120,7 @@ def reg_gamma_upper_log(s: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     ln_f = math.log(s) + _log_poisson(s, x)   # ln(e^-x x^s / Gamma(s)), accurate at large s
-    if x < s + 1.0:
+    if x - s < 1.0:   # not x < s + 1, which fails once s + 1 rounds to s
         p = _gser_sum(s, x) * math.exp(ln_f)
         # P rounds to >= 1 only for tiny s, where Q is below P's rounding.
         return math.log1p(-p) if p < 1.0 else -math.inf
@@ -138,7 +138,7 @@ def reg_gamma_lower_log(s: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     ln_f = math.log(s) + _log_poisson(s, x)   # ln(e^-x x^s / Gamma(s)), accurate at large s
-    if x < s + 1.0:
+    if x - s < 1.0:
         return math.log(_gser_sum(s, x)) + ln_f
     q = _gcf_factor(s, x) * math.exp(ln_f)
     return math.log1p(-q) if q < 0.5 else math.log(1.0 - q)

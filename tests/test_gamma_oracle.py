@@ -40,13 +40,16 @@ def test_log_incomplete_gammas_match_mpmath_at_large_shape(s, x):
     assert abs(reg_gamma_upper_log(s, x) - ref_q) <= 1e-12 * max(1.0, abs(ref_q))
 
 
+# Near x = s the series needs about 8.6 sqrt(s) terms, 8.6e6 at s = 1e12:
+# more than the cap, which the a-priori bound sees before the first term. At
+# s = 1e16, s + 1 rounds to s: a branch test of x < s + 1 would send x = s to
+# the continued fraction, which divides by zero there.
+@pytest.mark.parametrize("s", [1e12, 1e16])
 @pytest.mark.parametrize("fn", [reg_gamma_lower_log, reg_gamma_upper_log])
-def test_series_past_the_iteration_cap_is_refused_at_once(fn):
-    # Near x = s the series needs about 8.6 sqrt(s) terms, 8.6e6 here: more
-    # than the cap, which the a-priori bound sees before the first term.
+def test_series_past_the_iteration_cap_is_refused_at_once(fn, s):
     start = time.perf_counter()
     with pytest.raises(SeriesCapError, match="more than"):
-        fn(1e12, 1e12)
+        fn(s, s)
     assert time.perf_counter() - start < 0.05
 
 
