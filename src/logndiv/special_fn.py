@@ -154,21 +154,22 @@ def _log_poisson(n, mean):
     numpy arrays that broadcast together. Above n = 15 in Loader's
     saddle-point form -stirlerr - bd0 - ln(2 pi n)/2, whose rounding error
     is near eps*|n - mean|, not the eps*n*ln(n) of lgamma."""
-    if not isinstance(n, np.ndarray) and n <= 15.0:
-        return n * math.log(mean) - mean - math.lgamma(n + 1.0)
+    if not isinstance(n, np.ndarray):
+        if n <= 15.0:
+            return n * math.log(mean) - mean - math.lgamma(n + 1.0)
+        return float(_log_poisson(np.array([n]), mean)[0])
     n, mean = np.asarray(n, dtype=float), np.asarray(mean, dtype=float)
     small = n <= 15.0
     big = np.where(small, 16.0, n)   # entries at or below 15 are replaced below
     d = big - mean
-    # ln(n / mean): log1p near the mean; min() keeps the unused quotient finite.
-    bd0 = big * np.where(np.abs(d) < mean, np.log1p(np.minimum(d, mean) / mean),
-                         np.log(big) - np.log(mean)) - d
+    # ln(n / mean), by log1p only near the mean, where the quotient lies in (-1, 1).
+    ratio = np.log(big) - np.log(mean)
+    np.log1p(np.minimum(d, mean) / mean, out=ratio, where=np.abs(d) < mean)
+    bd0 = big * ratio - d
     # ln Gamma(n + 1) - (n + 1/2) ln n + n - ln(2 pi)/2, Stirling's series.
-    nn = 1.0 / (big * big)
+    nn = 1.0 / big / big   # not 1 / (n n), which overflows for n above 1e154
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / big
     out = -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * big)
-    if out.ndim == 0:
-        return float(out)
     if small.any():
         out[small] = ((n * np.log(mean) - mean)[small]
                       - [math.lgamma(v + 1.0) for v in n[small].tolist()])

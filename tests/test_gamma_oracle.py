@@ -43,8 +43,10 @@ def test_log_incomplete_gammas_match_mpmath_at_large_shape(s, x):
 # Near x = s the series needs about 8.6 sqrt(s) terms, 8.6e6 at s = 1e12:
 # more than the cap, which the a-priori bound sees before the first term. At
 # s = 1e16, s + 1 rounds to s: a branch test of x < s + 1 would send x = s to
-# the continued fraction, which divides by zero there.
-@pytest.mark.parametrize("s", [1e12, 1e16])
+# the continued fraction, which divides by zero there. At s = 1e200, s^2
+# overflows, which must not reach the caller as a numpy warning either.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e12, 1e16, 1e200])
 @pytest.mark.parametrize("fn", [reg_gamma_lower_log, reg_gamma_upper_log])
 def test_series_past_the_iteration_cap_is_refused_at_once(fn, s):
     start = time.perf_counter()
