@@ -1,38 +1,49 @@
 """Outage probabilities of SC/EGC/MRC diversity receivers over equally
 correlated lognormal fading channels: closed-form high-SNR approximations,
 seeded Monte Carlo ground truth, sum-of-lognormal tail CDFs, and numeric
-verification of the supporting geometry."""
+verification of the supporting geometry.
 
-from .asymptotics import (AsymptoteDecomposition, OutageQuery, egc_outage_asym,
-                          egc_outage_asym_indep, mrc_outage_asym, mrc_outage_asym_indep,
-                          outage_asym, sc_asymptote_decomposition, sc_outage_asym,
-                          sc_outage_asym_indep, single_branch_outage_exact,
-                          sum_lognormal_cdf_asym)
-from .baselines import MatchedLognormal, fenton_wilkinson_cdf, fenton_wilkinson_match
-from .channel import (ChannelSpec, DerivedParams, GainSample, a_from_rho,
-                      derive_params, rho_from_a, sample_gains)
-from .curves import Curve, CurvePoint, read_curves, write_curves
-from .errors import (BelowAsymptoticRegimeError, DegenerateGeometryError, DomainError,
-                     IntegrationFailureError, LogndivError, SearchFailureError,
-                     SeriesCapError)
-from .montecarlo import SimConfig, SimEstimate, simulate_outage, simulate_outage_multi, sweep
-from .schemes import SchemeKind
-from .special_fn import (MarcumArgs, gaussian_q, gaussian_q_asym, marcum_q,
-                         noncentral_chi2_cdf, reg_gamma_lower, reg_gamma_upper)
+The public names below are imported on first access (PEP 562), so that
+`import logndiv` costs nothing and the closed forms never load the Monte
+Carlo and quadrature stacks (scipy) they do not use."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoteDecomposition", "BelowAsymptoticRegimeError", "ChannelSpec", "Curve",
-    "CurvePoint", "DegenerateGeometryError", "DerivedParams", "DomainError",
-    "GainSample", "IntegrationFailureError", "LogndivError", "MarcumArgs",
-    "MatchedLognormal", "OutageQuery", "SchemeKind", "SearchFailureError",
-    "SeriesCapError", "SimConfig", "SimEstimate", "a_from_rho", "derive_params",
-    "egc_outage_asym", "egc_outage_asym_indep", "fenton_wilkinson_cdf",
-    "fenton_wilkinson_match", "gaussian_q", "gaussian_q_asym", "marcum_q",
-    "mrc_outage_asym", "mrc_outage_asym_indep", "noncentral_chi2_cdf", "outage_asym",
-    "read_curves", "reg_gamma_lower", "reg_gamma_upper", "rho_from_a",
-    "sample_gains", "sc_asymptote_decomposition", "sc_outage_asym",
-    "sc_outage_asym_indep", "simulate_outage", "simulate_outage_multi",
-    "single_branch_outage_exact", "sum_lognormal_cdf_asym", "sweep", "write_curves",
-]
+# Submodule -> the public names it provides.
+_EXPORTS = {
+    "asymptotics": ("AsymptoteDecomposition", "OutageQuery", "egc_outage_asym",
+                    "egc_outage_asym_indep", "mrc_outage_asym", "mrc_outage_asym_indep",
+                    "outage_asym", "sc_asymptote_decomposition", "sc_outage_asym",
+                    "sc_outage_asym_indep", "single_branch_outage_exact",
+                    "sum_lognormal_cdf_asym"),
+    "baselines": ("MatchedLognormal", "fenton_wilkinson_cdf", "fenton_wilkinson_match"),
+    "channel": ("ChannelSpec", "DerivedParams", "GainSample", "a_from_rho", "derive_params",
+                "rho_from_a", "sample_gains"),
+    "curves": ("Curve", "CurvePoint", "read_curves", "write_curves"),
+    "errors": ("BelowAsymptoticRegimeError", "DegenerateGeometryError", "DomainError",
+               "IntegrationFailureError", "LogndivError", "SearchFailureError",
+               "SeriesCapError"),
+    "montecarlo": ("SimConfig", "SimEstimate", "simulate_outage", "simulate_outage_multi",
+                   "sweep"),
+    "schemes": ("SchemeKind",),
+    "special_fn": ("MarcumArgs", "gaussian_q", "gaussian_q_asym", "marcum_q",
+                   "noncentral_chi2_cdf", "reg_gamma_lower", "reg_gamma_upper"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value   # later lookups bypass this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

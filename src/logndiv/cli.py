@@ -20,7 +20,6 @@ from typing import Optional
 from .channel import ChannelSpec, derive_params
 from .curves import Curve, curves_to_text
 from .errors import DomainError, LogndivError
-from .montecarlo import SimConfig, sweep
 from .presets import (PRESET_NAMES, _y_grid, asymptotic_curve, er_grid_from, figure_curves,
                       grid_size, sumcdf_curve)
 from .schemes import SchemeKind
@@ -29,7 +28,12 @@ from .verify_suites import SUITES, run_suites
 DEFAULT_SEED = 1
 
 
-def _default_seed() -> int:
+def _seed(flag: Optional[int]) -> int:
+    """The --seed flag if given, else LOGNDIV_SEED, else DEFAULT_SEED. Read
+    by the handlers that simulate, so that a bad LOGNDIV_SEED is a domain
+    error (exit 3) there and no concern of any other command."""
+    if flag is not None:
+        return flag
     env = os.environ.get("LOGNDIV_SEED")
     if env is None:
         return DEFAULT_SEED
@@ -119,17 +123,20 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .montecarlo import SimConfig, sweep
+
     spec = _channel_spec(args)
     scheme = SchemeKind.parse(args.scheme)
     grid = er_grid_from(args.er_db)
     params = derive_params(spec)
-    cfg = SimConfig(samples=args.samples, seed=args.seed,
+    seed = _seed(args.seed)
+    cfg = SimConfig(samples=args.samples, seed=seed,
                     batch_size=min(args.batch_size, args.samples))
     curve = sweep(params, scheme, args.gamma_th, grid, cfg)
     meta = {"command": "simulate", "scheme": scheme.value, "L": str(spec.L),
             "rho": f"{spec.rho:g}", "sigma_G": f"{spec.sigma_G:g}",
             "gamma_th": f"{args.gamma_th:g}", "samples": str(args.samples),
-            "seed": str(args.seed), "batch_size": str(cfg.batch_size)}
+            "seed": str(seed), "batch_size": str(cfg.batch_size)}
     _emit([curve], meta, args.out, args.format)
     return 0
 
@@ -162,7 +169,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    meta, curves = figure_curves(args.preset, samples=args.samples, seed=args.seed,
+    seed = DEFAULT_SEED if args.samples is None else _seed(args.seed)
+    meta, curves = figure_curves(args.preset, samples=args.samples, seed=seed,
                                  batch_size=args.batch_size)
     _emit(curves, meta, args.out, args.format)
     return 0
@@ -201,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--er-db", type=lambda t: _parse_grid(t, "--er-db"), required=True,
                     metavar="START:STOP:STEP")
     sp.add_argument("--samples", type=int, default=10_000_000)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=None,
+                    help="simulation seed (default: LOGNDIV_SEED, else 1)")
     sp.add_argument("--batch-size", type=int, default=1_000_000)
     add_output_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
@@ -227,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("preset", choices=PRESET_NAMES)
     sp.add_argument("--samples", type=int, default=None,
                     help="add simulated curves with this many trials per point")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=None,
+                    help="simulation seed (default: LOGNDIV_SEED, else 1)")
     sp.add_argument("--batch-size", type=int, default=1_000_000)
     add_output_flags(sp)
     sp.set_defaults(func=_cmd_figure)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .asymptotics import OutageQuery
 from .channel import _U64, DerivedParams, iter_latent_batches
@@ -70,6 +69,7 @@ def _estimate_from_hits(hits: int, n: int) -> SimEstimate:
                            ci95=(0.0, 1.0 - 0.025 ** (1.0 / n)))
     ci = None
     if hits < 30:
+        from scipy.special import betaincinv
         lo = float(betaincinv(hits, n - hits + 1, 0.025))
         hi = float(betaincinv(hits + 1, n - hits, 0.975)) if hits < n else 1.0
         ci = (lo, hi)

@@ -17,8 +17,6 @@ from ..baselines import fenton_wilkinson_cdf
 from ..channel import ChannelSpec, derive_params
 from ..curves import Curve, CurvePoint
 from ..errors import BelowAsymptoticRegimeError, DomainError
-from ..montecarlo import SimConfig, sweep
-from ..oracles import sum2_cdf_quadrature
 from ..schemes import SchemeKind
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
@@ -106,8 +104,10 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
     sources = {"asym": "asymptotic", "fw": "baseline", "quadrature": "exact"}
     if method not in sources:
         raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")
-    if method == "quadrature" and L != 2:
-        raise DomainError("quadrature sum-CDF is implemented for L = 2 only")
+    if method == "quadrature":
+        if L != 2:
+            raise DomainError("quadrature sum-CDF is implemented for L = 2 only")
+        from ..oracles import sum2_cdf_quadrature
     pts = []
     for y in y_grid:
         if method == "asym":
@@ -143,6 +143,7 @@ def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
                 curves.append(asymptotic_curve(spec, scheme, gamma_th, er_grid,
                                                label=label + "-asym"))
                 if samples:
+                    from ..montecarlo import SimConfig, sweep
                     sim = sweep(derive_params(spec), scheme, gamma_th, er_grid,
                                 SimConfig(samples, seed, min(batch_size, samples)))
                     curves.append(replace(sim, label=label + "-sim"))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracles
 from .asymptotics import (OutageQuery, egc_outage_asym_log10, mrc_outage_asym_log10,
                           sc_outage_asym, sc_outage_asym_latent, sc_outage_asym_log10)
 from .channel import ChannelSpec, DerivedParams, a_from_rho, derive_params
@@ -36,6 +35,8 @@ def _check(suite: str, name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def run_lemma() -> list[CheckResult]:
+    from . import oracles
+
     results = []
     for L in (2, 3):
         probe = oracles.LemmaProbe(L=L, sigma=1.0, x0=(0.0,) * L, eps=0.1,
@@ -60,6 +61,8 @@ def run_lemma() -> list[CheckResult]:
 
 
 def run_kkt() -> list[CheckResult]:
+    from . import oracles
+
     results = []
     for L in (2, 3):
         reports = {}
@@ -83,6 +86,8 @@ def run_kkt() -> list[CheckResult]:
 
 
 def run_subset() -> list[CheckResult]:
+    from . import oracles
+
     rep = oracles.subset_inclusion_check(
         a=_A_HALF, L=2, gamma_th=0.1, eps=0.05, mu_X=50.0,
         n_samples=200_000, seed=20240222)
@@ -95,6 +100,8 @@ def run_subset() -> list[CheckResult]:
 
 
 def run_derivatives() -> list[CheckResult]:
+    from . import oracles
+
     results = []
     for L in (2, 3):
         rep = oracles.implicit_derivative_check(_A_HALF, L, 0.1)

@@ -240,6 +240,31 @@ def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     assert "np.float64" not in err
 
 
+_SIMULATE = ["simulate", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
+             "--scheme", "sc", "--er-db", "0:10:5", "--samples", "1000"]
+
+
+@pytest.mark.parametrize("argv", [_SIMULATE, ["figure", "fig4", "--samples", "1000"]],
+                         ids=["simulate", "figure-samples"])
+def test_bad_env_seed_is_domain_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LOGNDIV_SEED", "abc")
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "LOGNDIV_SEED" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
+     "--scheme", "sc", "--er-db", "0:10:5"],
+    ["figure", "fig4"],
+    _SIMULATE + ["--seed", "7"],
+], ids=["asymptotic", "figure-closed-form", "simulate-seed-flag"])
+def test_bad_env_seed_is_ignored_where_no_seed_is_read(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("LOGNDIV_SEED", "abc")
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+
+
 def test_oversized_simulation_batch_is_domain_error(monkeypatch, capsys):
     # 1000 rows x 10^8 branches would be an 800 GB draw; it must be refused before drawing.
     def no_draw(*_):
