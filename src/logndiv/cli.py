@@ -17,11 +17,11 @@ import tempfile
 from dataclasses import asdict
 from typing import Optional
 
-from .channel import ChannelSpec, derive_params
+from .channel import ChannelSpec
 from .curves import Curve, curves_to_text
 from .errors import DomainError, LogndivError
 from .presets import (PRESET_NAMES, _y_grid, asymptotic_curve, er_grid_from, figure_curves,
-                      grid_size, sumcdf_curve)
+                      grid_size, sim_config, simulated_curves, sumcdf_curve)
 from .schemes import SchemeKind
 from .verify_suites import SUITES, run_suites
 
@@ -110,34 +110,21 @@ def _channel_spec(args) -> ChannelSpec:
     return ChannelSpec(**base, Er=1.0)
 
 
-def _cmd_asymptotic(args) -> int:
+def _cmd_outage(args) -> int:
     spec = _channel_spec(args)
     scheme = SchemeKind.parse(args.scheme)
     grid = er_grid_from(args.er_db)
-    curve = asymptotic_curve(spec, scheme, args.gamma_th, grid)
-    meta = {"command": "asymptotic", "scheme": scheme.value, "L": str(spec.L),
+    meta = {"command": args.cmd, "scheme": scheme.value, "L": str(spec.L),
             "rho": f"{spec.rho:g}", "sigma_G": f"{spec.sigma_G:g}",
             "gamma_th": f"{args.gamma_th:g}"}
-    _emit([curve], meta, args.out, args.format)
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    from .montecarlo import SimConfig, sweep
-
-    spec = _channel_spec(args)
-    scheme = SchemeKind.parse(args.scheme)
-    grid = er_grid_from(args.er_db)
-    params = derive_params(spec)
-    seed = _seed(args.seed)
-    cfg = SimConfig(samples=args.samples, seed=seed,
-                    batch_size=min(args.batch_size, args.samples))
-    curve = sweep(params, scheme, args.gamma_th, grid, cfg)
-    meta = {"command": "simulate", "scheme": scheme.value, "L": str(spec.L),
-            "rho": f"{spec.rho:g}", "sigma_G": f"{spec.sigma_G:g}",
-            "gamma_th": f"{args.gamma_th:g}", "samples": str(args.samples),
-            "seed": str(seed), "batch_size": str(cfg.batch_size)}
-    _emit([curve], meta, args.out, args.format)
+    if args.cmd == "asymptotic":
+        curves = [asymptotic_curve(spec, scheme, args.gamma_th, grid)]
+    else:
+        cfg = sim_config(args.samples, _seed(args.seed), args.batch_size)
+        curves = simulated_curves(spec, [scheme], args.gamma_th, grid, cfg)
+        meta.update(samples=str(cfg.samples), seed=str(cfg.seed),
+                    batch_size=str(cfg.batch_size))
+    _emit(curves, meta, args.out, args.format)
     return 0
 
 
@@ -183,37 +170,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "equally correlated lognormal fading channels.")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_channel_flags(sp, with_gamma=True):
+    def add_outage_flags(sp):
         sp.add_argument("--L", type=int, default=None, help="branch count")
         sp.add_argument("--rho", type=float, default=None, help="exponent correlation in [0,1)")
         sp.add_argument("--sigma-g", type=float, default=None, help="exponent std dev (nats)")
         sp.add_argument("--config", default=None, help="JSON channel config (keys: L, rho, sigma_G, mu_G|Er_watts|Er_dB)")
-        if with_gamma:
-            sp.add_argument("--gamma-th", type=float, required=True, help="outage threshold (watts)")
+        sp.add_argument("--gamma-th", type=float, required=True, help="outage threshold (watts)")
+        sp.add_argument("--scheme", required=True, choices=[s.value for s in SchemeKind])
+        sp.add_argument("--er-db", type=lambda t: _parse_grid(t, "--er-db"), required=True,
+                        metavar="START:STOP:STEP")
 
     def add_output_flags(sp):
         sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
         sp.add_argument("--format", choices=("csv", "obj"), default="csv")
 
     sp = sub.add_parser("asymptotic", help="closed-form outage curve over an Er grid")
-    add_channel_flags(sp)
-    sp.add_argument("--scheme", required=True, choices=[s.value for s in SchemeKind])
-    sp.add_argument("--er-db", type=lambda t: _parse_grid(t, "--er-db"), required=True,
-                    metavar="START:STOP:STEP")
+    add_outage_flags(sp)
     add_output_flags(sp)
-    sp.set_defaults(func=_cmd_asymptotic)
+    sp.set_defaults(func=_cmd_outage)
 
     sp = sub.add_parser("simulate", help="Monte Carlo outage curve over an Er grid")
-    add_channel_flags(sp)
-    sp.add_argument("--scheme", required=True, choices=[s.value for s in SchemeKind])
-    sp.add_argument("--er-db", type=lambda t: _parse_grid(t, "--er-db"), required=True,
-                    metavar="START:STOP:STEP")
+    add_outage_flags(sp)
     sp.add_argument("--samples", type=int, default=10_000_000)
     sp.add_argument("--seed", type=int, default=None,
                     help="simulation seed (default: LOGNDIV_SEED, else 1)")
     sp.add_argument("--batch-size", type=int, default=1_000_000)
     add_output_flags(sp)
-    sp.set_defaults(func=_cmd_simulate)
+    sp.set_defaults(func=_cmd_outage)
 
     sp = sub.add_parser("sumcdf", help="CDF of a sum of correlated lognormal variables")
     sp.add_argument("--L", type=int, required=True)

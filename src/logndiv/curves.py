@@ -54,11 +54,11 @@ class Curve:
                 raise DomainError(f"curve {self.label!r}: outage {p.outage!r} outside [0, 1]")
 
 
-def _fmt(v, digits: int = 12) -> str:
+def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.{digits}e}"
+        return f"{v:.12e}"
     return str(v)
 
 
@@ -72,8 +72,8 @@ def write_curves(stream, curves: Sequence[Curve], meta: Optional[dict] = None) -
     for c in curves:
         for p in c.points:
             w.writerow([
-                c.label, c.scheme, c.source, c.L, _fmt(c.rho, 12), _fmt(c.sigma_G, 12),
-                _fmt(c.gamma_th, 12), c.x_kind, _fmt(p.x), _fmt(p.outage),
+                c.label, c.scheme, c.source, c.L, _fmt(c.rho), _fmt(c.sigma_G),
+                _fmt(c.gamma_th), c.x_kind, _fmt(p.x), _fmt(p.outage),
                 _fmt(p.stderr), "" if p.n is None else p.n,
                 "" if p.hits is None else p.hits, p.note,
             ])

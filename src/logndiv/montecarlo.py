@@ -8,7 +8,8 @@ with variance reduction.
 Determinism contract: identical (seed, samples, batch_size) give identical
 hit counts, independent of how batches are scheduled, because every batch
 draws from a substream derived only from (seed, batch index) and results
-reduce by addition.
+reduce by addition. A sweep draws one stream per grid point (point_seed) and
+counts every scheme of the channel from it; `presets` turns counts into curves.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .asymptotics import OutageQuery
 from .channel import _U64, DerivedParams, iter_latent_batches
-from .curves import Curve, CurvePoint
 from .errors import DomainError
 from .schemes import SchemeKind, combiner_snr
 
@@ -105,20 +105,14 @@ def point_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sweep(params: DerivedParams, scheme: SchemeKind, gamma_th: float,
-          er_grid: Sequence[float], cfg: SimConfig) -> Curve:
-    """Simulate along an Er grid (watts, strictly increasing), one derived
-    substream per point. Resolution-exhausted points are annotated, not
-    dropped."""
-    pts = []
+def sweep(params: DerivedParams, schemes: Sequence[SchemeKind], gamma_th: float,
+          er_grid: Sequence[float], cfg: SimConfig) -> dict[SchemeKind, list[SimEstimate]]:
+    """Each scheme's estimates along an Er grid (watts), in grid order, all
+    counted from one derived substream per point (common random numbers)."""
+    out: dict[SchemeKind, list[SimEstimate]] = {s: [] for s in schemes}
     for i, er in enumerate(er_grid):
-        est = simulate_outage(params, scheme, OutageQuery(gamma_th, er),
-                              SimConfig(cfg.samples, point_seed(cfg.seed, i), cfg.batch_size))
-        note = ""
-        if est.resolution_exhausted:
-            note = f"resolution_exhausted;p_upper_95={est.p_upper_95:.6e}"
-        pts.append(CurvePoint(x=10.0 * math.log10(er), outage=est.p_hat,
-                              stderr=est.stderr, n=est.n, hits=est.hits, note=note))
-    return Curve(label=f"{scheme.value}-sim", scheme=scheme.value, source="simulation",
-                 L=params.L, rho=params.rho, sigma_G=params.sigma_G,
-                 gamma_th=gamma_th, points=tuple(pts))
+        est = simulate_outage_multi(params, schemes, OutageQuery(gamma_th, er),
+                                    SimConfig(cfg.samples, point_seed(cfg.seed, i), cfg.batch_size))
+        for s in schemes:
+            out[s].append(est[s])
+    return out

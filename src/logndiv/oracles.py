@@ -114,16 +114,15 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
     return min(max(total, 0.0), 1.0)
 
 
-def sum2_cdf_tensor_gl(mu_G: float, sigma_G: float, y: float, order: int = 160,
-                       panels: int = 12) -> float:
+def sum2_cdf_tensor_gl(mu_G: float, sigma_G: float, y: float) -> float:
     """Independent-exponent cross-check of sum2_cdf_quadrature (rho = 0 only):
-    composite Gauss-Legendre panels over the first exponent with the second
-    dimension closed by the Gaussian CDF. A different integration engine on a
-    fixed grid, for self-consistency tests."""
+    12 panels of 160-point Gauss-Legendre over the first exponent with the
+    second dimension closed by the Gaussian CDF. A different integration
+    engine on a fixed grid, for self-consistency tests."""
     top = math.log(y)
     lo = min(mu_G - 40.0 * sigma_G, top - 40.0 * sigma_G)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, top, panels + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(160)
+    edges = np.linspace(lo, top, 13)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -195,14 +194,13 @@ class NearestPointReport:
 
 
 def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
-                          mu_X: float, n_starts: int = 8,
-                          feas_tol: float = 1e-9) -> NearestPointReport:
+                          mu_X: float) -> NearestPointReport:
     """Minimize |x - mu_X*1|^2 subject to the outage-region constraint by
-    multi-start SLSQP, then compare against the closed form.
+    SLSQP from 8 starts, then compare against the closed form.
 
     The SC region is handed to the solver as its L equivalent linear
     constraints (the max in the indicator is not smooth); feasibility of the
-    winner is still checked through region_indicator itself.
+    winner is still checked through region_indicator itself, to 1e-9.
     """
     if L > 4:
         raise DomainError("constrained searches are desk-scale: L <= 4")
@@ -240,7 +238,7 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20230817)))
     starts = [closed.copy(), closed - 0.3, mu - abs(mu_X - closed[0])]
-    while len(starts) < n_starts:
+    while len(starts) < 8:
         starts.append(closed + rng.normal(0.0, 0.25, size=L))
 
     best = None
@@ -251,7 +249,7 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
         if not res.success:
             continue
         x = np.asarray(res.x, dtype=float)
-        if region_indicator(scheme, x, a, gamma_th) > feas_tol:
+        if region_indicator(scheme, x, a, gamma_th) > 1e-9:
             continue
         if best is None or objective(x) < objective(best):
             best = x
@@ -426,16 +424,15 @@ class DerivativeCheckReport:
     max_abs_error: float
 
 
-def _richardson(f, h: float) -> float:
-    return (4.0 * f(0.5 * h) - f(h)) / 3.0
+def _richardson(f) -> float:
+    return (4.0 * f(0.5e-4) - f(1e-4)) / 3.0
 
 
-def implicit_derivative_check(a: float, L: int, gamma_th: float,
-                              h: float = 1e-4) -> DerivativeCheckReport:
+def implicit_derivative_check(a: float, L: int, gamma_th: float) -> DerivativeCheckReport:
     """Differentiate x1 as an implicit function of the other coordinates on
     two surfaces through the shared EGC/MRC nearest point: the true EGC
     boundary (root-solved) and the osculating hypersphere (explicit branch).
-    Central differences with one Richardson step at step h.
+    Central differences with one Richardson step at step 1e-4.
 
     Expected values: first derivative -1; second derivatives
     -(1-a)^2 * (1 + [m = n]) / (L - 1 + a).
@@ -487,15 +484,15 @@ def implicit_derivative_check(a: float, L: int, gamma_th: float,
         def d2_diag(step: float) -> float:
             return (bumped({0: step}) - 2.0 * bumped({}) + bumped({0: -step})) / step ** 2
 
-        first = _richardson(d1, h)
-        diag = _richardson(d2_diag, h)
+        first = _richardson(d1)
+        diag = _richardson(d2_diag)
         off = None
         if L >= 3:
             def d2_off(step: float) -> float:
                 return (bumped({0: step, 1: step}) - bumped({0: step, 1: -step})
                         - bumped({0: -step, 1: step}) + bumped({0: -step, 1: -step})) / (4.0 * step ** 2)
 
-            off = _richardson(d2_off, h)
+            off = _richardson(d2_off)
         return SurfaceDerivatives(first=first, second_diag=diag, second_offdiag=off)
 
     exact = derivs(x1_exact)

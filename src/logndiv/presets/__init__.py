@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from functools import partial
 from importlib import resources
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -18,6 +17,9 @@ from ..channel import ChannelSpec, derive_params
 from ..curves import Curve, CurvePoint
 from ..errors import BelowAsymptoticRegimeError, DomainError
 from ..schemes import SchemeKind
+
+if TYPE_CHECKING:   # imported where used, so that the closed forms do not pay for it
+    from ..montecarlo import SimConfig, SimEstimate
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
 
@@ -70,6 +72,14 @@ def _below_er(exc: BelowAsymptoticRegimeError) -> str:
     return f"below_asymptotic_regime;min_er_db={10.0 * exc.ln_bound / math.log(10.0):.6f}"
 
 
+def _sim_point(er: float, est: SimEstimate) -> CurvePoint:
+    """One simulated point; one without hits carries its rule-of-three bound."""
+    note = (f"resolution_exhausted;p_upper_95={est.p_upper_95:.6e}"
+            if est.resolution_exhausted else "")
+    return CurvePoint(x=10.0 * math.log10(er), outage=est.p_hat, stderr=est.stderr, n=est.n,
+                      hits=est.hits, note=note)
+
+
 def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
                      er_grid: list[float], label: Optional[str] = None) -> Curve:
     """Closed-form curve over an Er grid. At L = 1 every scheme is the exact
@@ -82,6 +92,24 @@ def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
     return Curve(label=label or f"{scheme.value}-asym-L{spec.L}-rho{spec.rho:g}",
                  scheme=scheme.value, source="exact" if spec.L == 1 else "asymptotic",
                  L=spec.L, rho=spec.rho, sigma_G=spec.sigma_G, gamma_th=gamma_th, points=pts)
+
+
+def sim_config(samples: int, seed: int, batch_size: int) -> SimConfig:
+    """Simulation settings of a command: the batch is clamped to the sample count."""
+    from ..montecarlo import SimConfig
+    return SimConfig(samples, seed, min(batch_size, samples))
+
+
+def simulated_curves(spec: ChannelSpec, schemes: list[SchemeKind], gamma_th: float,
+                     er_grid: list[float], cfg: SimConfig, tag: str = "") -> list[Curve]:
+    """Monte Carlo curves '<scheme><tag>-sim' of several schemes on one channel,
+    in scheme order, all counted from one stream per grid point."""
+    from ..montecarlo import sweep
+    estimates = sweep(derive_params(spec), schemes, gamma_th, er_grid, cfg)
+    return [Curve(label=f"{s.value}{tag}-sim", scheme=s.value, source="simulation",
+                  L=spec.L, rho=spec.rho, sigma_G=spec.sigma_G, gamma_th=gamma_th,
+                  points=tuple(map(_sim_point, er_grid, estimates[s])))
+            for s in schemes]
 
 
 def _y_grid(cfg: dict) -> list[float]:
@@ -133,28 +161,26 @@ def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
     if preset["kind"] == "outage":
         gamma_th = float(preset["gamma_th"])
         er_grid = er_grid_from(preset["er_db"])
+        schemes = [SchemeKind.parse(s) for s in preset["schemes"]]
+        cfg = None if samples is None else sim_config(samples, seed, batch_size)
         meta["gamma_th"] = f"{gamma_th:g}"
         for ch in preset["channels"]:
             spec = ChannelSpec(L=int(ch["L"]), rho=float(ch["rho"]),
                                sigma_G=float(ch["sigma_G"]), Er=1.0)
-            for s in preset["schemes"]:
-                scheme = SchemeKind.parse(s)
-                label = f"{scheme.value}-L{spec.L}-rho{spec.rho:g}-sg{spec.sigma_G:g}"
+            tag = f"-L{spec.L}-rho{spec.rho:g}-sg{spec.sigma_G:g}"
+            sims = simulated_curves(spec, schemes, gamma_th, er_grid, cfg, tag) if cfg else []
+            for i, scheme in enumerate(schemes):
                 curves.append(asymptotic_curve(spec, scheme, gamma_th, er_grid,
-                                               label=label + "-asym"))
-                if samples:
-                    from ..montecarlo import SimConfig, sweep
-                    sim = sweep(derive_params(spec), scheme, gamma_th, er_grid,
-                                SimConfig(samples, seed, min(batch_size, samples)))
-                    curves.append(replace(sim, label=label + "-sim"))
+                                               label=f"{scheme.value}{tag}-asym"))
+                if cfg is not None:
+                    curves.append(sims[i])
         if "baseline_single_branch" in preset:
             spec = ChannelSpec(L=1, rho=0.0, Er=1.0,
                                sigma_G=float(preset["baseline_single_branch"]["sigma_G"]))
             curves.append(asymptotic_curve(spec, SchemeKind.SC, gamma_th, er_grid,
                                            label="single-branch-exact"))
-        if samples:
-            meta["samples"] = str(samples)
-            meta["seed"] = str(seed)
+        if cfg is not None:
+            meta.update(samples=str(samples), seed=str(seed))
     elif preset["kind"] == "sumcdf":
         if samples is not None:
             raise DomainError(f"preset {name!r} has no simulated curves, "

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from logndiv import channel
+from logndiv import channel, montecarlo
 from logndiv.cli import main
 from logndiv.curves import Curve, CurvePoint, curves_to_text, read_curves
 from logndiv.errors import DomainError
+from logndiv.presets import figure_curves
 
 
 def _curve(**kw):
@@ -227,10 +228,12 @@ def _flag(argv, flag, value):
     _flag(_flag(_SUMCDF, "--mu-g", "1e300"), "--method", "fw"),
     _flag(_flag(_SUMCDF, "--y", "0:0.2:0.1"), "--method", "fw"),
     ["figure", "fig7", "--samples", "1000"],
+    ["figure", "fig4", "--samples", "0"],
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
-        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "sumcdf-preset-samples"])
+        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "sumcdf-preset-samples",
+        "outage-preset-zero-samples"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
@@ -349,3 +352,46 @@ def test_overlong_ncx2_series_is_domain_error(capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_single_branch_simulation_echoes_rho(tmp_path):
+    # The rho column echoes the requested rho at L = 1, as the header does,
+    # for the simulated curve as for the closed form.
+    columns = []
+    for argv in (_flag(_flag(_ASYMPTOTIC, "--L", "1"), "--rho", "0.5"),
+                 _flag(_flag(_SIMULATE, "--L", "1"), "--rho", "0.5")):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert "# rho=0.5" in rows
+        header = next(r for r in rows if r.startswith("label,")).split(",")
+        columns.append({r.split(",")[header.index("rho")]
+                        for r in rows if not r.startswith(("#", "label,"))})
+    assert columns[0] == columns[1] == {"5.000000000000e-01"}
+
+
+def test_figure_draws_each_channel_point_once(monkeypatch):
+    # fig4: 3 channels x 9 points, each stream shared by SC, EGC and MRC.
+    calls = []
+    real = montecarlo.iter_latent_batches
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "iter_latent_batches", counted)
+    _, curves = figure_curves("fig4", samples=2000)
+    assert sum(c.source == "simulation" for c in curves) == 9
+    assert len(calls) == 27
+
+
+def test_simulate_matches_figure_stream(tmp_path):
+    # One channel and one scheme on the CLI draw the streams of the figure's
+    # sweep of that channel, so their counts agree point by point.
+    sim, fig = tmp_path / "sim.csv", tmp_path / "fig.csv"
+    assert main(["simulate", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
+                 "--scheme", "egc", "--er-db", "0:40:5", "--samples", "2000", "--seed", "5",
+                 "--out", str(sim)]) == 0
+    assert main(["figure", "fig4", "--samples", "2000", "--seed", "5", "--out", str(fig)]) == 0
+    [one], _ = _points(sim)
+    [match] = [c for c in _points(fig)[0] if c.label == "egc-L2-rho0.5-sg0.8-sim"]
+    assert [(p.x, p.n, p.hits) for p in one.points] == [(p.x, p.n, p.hits) for p in match.points]

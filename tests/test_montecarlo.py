@@ -8,6 +8,7 @@ from logndiv.errors import DomainError
 from logndiv.montecarlo import (SimConfig, SimEstimate, point_seed, simulate_outage,
                                 simulate_outage_multi, sweep)
 from logndiv.oracles import sc_outage_exact_indep
+from logndiv.presets import simulated_curves
 from logndiv.schemes import SchemeKind
 
 ALL = [SchemeKind.SC, SchemeKind.EGC, SchemeKind.MRC]
@@ -110,26 +111,40 @@ class TestSimulateOutage:
 
 class TestSweep:
     def test_monotone_trend_up_to_noise(self):
-        p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=1.0))
+        spec = ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=1.0)
         grid = [10 ** (db / 10) for db in (0, 5, 10, 15)]
-        c = sweep(p, SchemeKind.SC, 0.1, grid, SimConfig(samples=100_000, seed=21))
+        [c] = simulated_curves(spec, [SchemeKind.SC], 0.1, grid, SimConfig(samples=100_000, seed=21))
         pts = c.points
         for a, b in zip(pts, pts[1:]):
             assert b.outage <= a.outage + 3 * ((a.stderr or 0) + (b.stderr or 0))
 
     def test_bit_identical_curves_across_runs(self):
-        p = derive_params(ChannelSpec(L=2, rho=0.1, sigma_G=0.8, Er=1.0))
+        spec = ChannelSpec(L=2, rho=0.1, sigma_G=0.8, Er=1.0)
         grid = [1.0, 10.0, 100.0]
         cfg = SimConfig(samples=20_000, seed=9, batch_size=6_000)
-        c1 = sweep(p, SchemeKind.EGC, 0.1, grid, cfg)
-        c2 = sweep(p, SchemeKind.EGC, 0.1, grid, cfg)
+        c1 = simulated_curves(spec, [SchemeKind.EGC], 0.1, grid, cfg)
+        c2 = simulated_curves(spec, [SchemeKind.EGC], 0.1, grid, cfg)
         assert c1 == c2
 
     def test_exhausted_points_annotated(self):
-        p = derive_params(ChannelSpec(L=2, rho=0.1, sigma_G=0.8, Er=1.0))
-        c = sweep(p, SchemeKind.MRC, 0.1, [1e8], SimConfig(samples=2_000, seed=1))
+        spec = ChannelSpec(L=2, rho=0.1, sigma_G=0.8, Er=1.0)
+        [c] = simulated_curves(spec, [SchemeKind.MRC], 0.1, [1e8], SimConfig(samples=2_000, seed=1))
         assert "resolution_exhausted" in c.points[0].note
         assert "p_upper_95" in c.points[0].note
+
+    def test_every_scheme_counted_from_one_stream_per_point(self):
+        # Each point's estimates are those of one multi-scheme draw at
+        # point_seed(seed, i), the same whichever schemes are asked for.
+        p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
+        grid = [1.0, 10.0, 100.0]
+        cfg = SimConfig(samples=5_000, seed=4, batch_size=2_000)
+        est = sweep(p, ALL, 0.1, grid, cfg)
+        for i, er in enumerate(grid):
+            point = simulate_outage_multi(p, ALL, OutageQuery(0.1, er),
+                                          SimConfig(5_000, point_seed(4, i), 2_000))
+            assert {s: est[s][i] for s in ALL} == point
+        for s in ALL:
+            assert sweep(p, [s], 0.1, grid, cfg) == {s: est[s]}
 
     def test_correlation_ordering_at_moderate_snr(self):
         # Stronger correlation hurts: simulated SC outage increases with rho
