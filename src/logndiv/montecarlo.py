@@ -82,13 +82,13 @@ def simulate_outage_multi(params: DerivedParams, schemes: Sequence[SchemeKind],
     stream (common random numbers), the default for scheme comparisons.
     Like the closed forms, it reads the power from the query, not from the
     anchor in params."""
-    hits = {s: 0 for s in schemes}
+    hits = dict.fromkeys(schemes, 0)   # a scheme listed twice is counted once
     draws = iter_latent_batches(params.with_er(q.er), cfg.samples, cfg.seed, cfg.batch_size)
     for latent in draws:
         gains = np.exp(latent)
-        for s in schemes:
+        for s in hits:
             hits[s] += int(np.count_nonzero(combiner_snr(s, gains) < q.gamma_th))
-    return {s: _estimate_from_hits(hits[s], cfg.samples) for s in schemes}
+    return {s: _estimate_from_hits(n, cfg.samples) for s, n in hits.items()}
 
 
 def simulate_outage(params: DerivedParams, scheme: SchemeKind,
@@ -113,6 +113,6 @@ def sweep(params: DerivedParams, schemes: Sequence[SchemeKind], gamma_th: float,
     for i, er in enumerate(er_grid):
         est = simulate_outage_multi(params, schemes, OutageQuery(gamma_th, er),
                                     SimConfig(cfg.samples, point_seed(cfg.seed, i), cfg.batch_size))
-        for s in schemes:
-            out[s].append(est[s])
+        for s, e in est.items():
+            out[s].append(e)
     return out

@@ -41,6 +41,12 @@ class TestSimulateOutage:
         est = simulate_outage_multi(p, ALL, q, cfg)
         assert est[SchemeKind.SC] == est[SchemeKind.EGC] == est[SchemeKind.MRC]
 
+    def test_repeated_scheme_is_counted_once(self):
+        p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=1.0))
+        q, cfg = OutageQuery(0.1, 1.0), SimConfig(samples=2_000, seed=1)
+        twice = simulate_outage_multi(p, [SchemeKind.SC, SchemeKind.EGC, SchemeKind.SC], q, cfg)
+        assert twice == simulate_outage_multi(p, [SchemeKind.SC, SchemeKind.EGC], q, cfg)
+
     def test_query_er_wins_over_params_anchor(self):
         # The params are anchored at 0 dB, the query at 20 dB: the estimate is
         # the 20 dB outage (closed form 8.75e-6), not the 0 dB one (0.129).
@@ -145,6 +151,7 @@ class TestSweep:
             assert {s: est[s][i] for s in ALL} == point
         for s in ALL:
             assert sweep(p, [s], 0.1, grid, cfg) == {s: est[s]}
+            assert sweep(p, [s, s], 0.1, grid, cfg) == {s: est[s]}
 
     def test_correlation_ordering_at_moderate_snr(self):
         # Stronger correlation hurts: simulated SC outage increases with rho
