@@ -14,14 +14,11 @@ __version__ = "0.1.0"
 # Submodule -> the public names it provides.
 _EXPORTS = {
     "asymptotics": ("AsymptoteDecomposition", "OutageQuery", "egc_outage_asym",
-                    "egc_outage_asym_indep", "mrc_outage_asym", "mrc_outage_asym_indep",
-                    "outage_asym", "sc_asymptote_decomposition", "sc_outage_asym",
-                    "sc_outage_asym_indep", "single_branch_outage_exact",
-                    "sum_lognormal_cdf_asym"),
+                    "mrc_outage_asym", "outage_asym", "sc_asymptote_decomposition",
+                    "sc_outage_asym", "single_branch_outage_exact", "sum_lognormal_cdf_asym"),
     "baselines": ("MatchedLognormal", "fenton_wilkinson_cdf", "fenton_wilkinson_match"),
-    "channel": ("ChannelSpec", "DerivedParams", "GainSample", "a_from_rho", "derive_params",
-                "rho_from_a", "sample_gains"),
-    "curves": ("Curve", "CurvePoint", "read_curves", "write_curves"),
+    "channel": ("ChannelSpec", "DerivedParams", "a_from_rho", "derive_params", "rho_from_a"),
+    "curves": ("Curve", "CurvePoint", "read_curves"),
     "errors": ("BelowAsymptoticRegimeError", "DegenerateGeometryError", "DomainError",
                "IntegrationFailureError", "LogndivError", "SearchFailureError",
                "SeriesCapError"),

@@ -11,8 +11,11 @@ Conventions shared by every function here:
     generalized Marcum-Q of order L/2).
   * The forms are written in w = 1/a in [0, 1), where the powers of a
     cancel. rho = 0 is the point w = 0 of the same expressions, not a
-    separate code path; the *_indep functions evaluate that point.
+    separate code path: derive_params maps a ChannelSpec with rho = 0.0
+    to it.
     EGC, MRC and the sum-CDF share one noncentral chi-squared arm map.
+  * The per-scheme functions give the approximation at every L, L = 1
+    included; outage_asym puts the exact lognormal CDF in its place there.
   * Everything is evaluated in log-space, so L = 8 with mixing weight
     a = 10^3 neither overflows nor underflows; the linear and *_log10
     variants are views of the same log value.
@@ -98,11 +101,6 @@ def _sc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
     return L * (math.log(sigma_g) - math.log(z)) - 0.5 * L * _LN_2PI + c - od * z * z
 
 
-def _sc_raw(ln: float) -> float:
-    # Just above the regime edge the raw SC value exceeds 1, at large L past the float range.
-    return math.inf if ln >= _LN_FLOAT_MAX else math.exp(ln)
-
-
 def sc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     """High-SNR SC outage over equally correlated branches (rho = 0
     included, as w = 0).
@@ -111,17 +109,13 @@ def sc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     of its higher-order terms); immediately above the validity threshold it
     can exceed 1 and is not yet a meaningful probability there.
     """
-    return _sc_raw(_sc_ln(params.L, _weight(params), params.sigma_G, q))
+    ln = _sc_ln(params.L, _weight(params), params.sigma_G, q)
+    # Just above the regime edge the raw SC value exceeds 1, at large L past the float range.
+    return math.inf if ln >= _LN_FLOAT_MAX else math.exp(ln)
 
 
 def sc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
     return _sc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
-
-
-def sc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
-    """The SC form at rho = 0: the L-th power of the one-branch Gaussian
-    tail approximation."""
-    return _sc_raw(_sc_ln(L, 0.0, sigma_G, q))
 
 
 def sc_outage_asym_latent(a: float, L: int, mu_X: float, sigma_X: float,
@@ -180,10 +174,6 @@ def egc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
     return _egc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
 
 
-def egc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
-    return math.exp(_egc_ln(L, 0.0, sigma_G, q))
-
-
 def mrc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     """High-SNR MRC outage: the EGC noncentral chi-squared tail with the
     offset h halved."""
@@ -192,10 +182,6 @@ def mrc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
 
 def mrc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
     return _mrc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
-
-
-def mrc_outage_asym_indep(L: int, sigma_G: float, q: OutageQuery) -> float:
-    return math.exp(_mrc_ln(L, 0.0, sigma_G, q))
 
 
 def _sum_cdf_ln(L: int, rho: float, mu_G: float, sigma_G: float, y: float) -> float:
@@ -267,7 +253,8 @@ def single_branch_outage_exact(mu_G: float, sigma_G: float, gamma_th: float) -> 
 def outage_asym(params: DerivedParams, scheme, q: OutageQuery) -> float:
     """Scheme dispatcher used by sweeps. A single branch (L = 1) short-
     circuits every scheme to the exact lognormal CDF, since all three
-    combiners coincide there and the exact form is available."""
+    combiners coincide there and the exact form is available; the
+    per-scheme functions stay the approximation at L = 1."""
     if params.L == 1:
         return single_branch_outage_exact(mu_g_from_er(q.er, params.sigma_G), params.sigma_G,
                                           q.gamma_th)

@@ -128,15 +128,21 @@ class ChannelSpec:
         if len(anchors) != 1:
             raise DomainError(
                 f"channel config needs exactly one of mu_G/Er_watts/Er_dB, got {anchors}")
+        for key in ("L", "rho", "sigma_G", anchors[0]):
+            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
+                raise DomainError(f"channel config field {key} must be a number, got {d[key]!r}")
+        L = d["L"]
+        if isinstance(L, float):
+            # Checked before int(): 1e300 would print as a 301-digit integer.
+            if not (L.is_integer() and 1.0 <= L <= 2.0 ** 53):
+                raise DomainError(f"branch count must be an integer in [1, 2^53], got {L!r}")
+            L = int(L)
         try:
-            L = int(d["L"])
             rho = float(d["rho"])
             sigma_G = float(d["sigma_G"])
             anchor = float(d[anchors[0]])
             if anchors[0] == "Er_dB":
                 anchor = 10.0 ** (anchor / 10.0)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"channel config field not numeric: {exc}") from exc
         except OverflowError as exc:
             raise DomainError(f"channel config field out of range: {exc}") from exc
         if anchors[0] == "mu_G":
@@ -149,6 +155,8 @@ class ChannelSpec:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"channel config is not valid JSON: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:   # an integer literal past int's digit limit
+            raise DomainError(f"channel config is not valid JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise DomainError("channel config must be a JSON object")
         return cls.from_dict(d)
@@ -209,15 +217,6 @@ def derive_params(spec: ChannelSpec) -> DerivedParams:
                          mu_G=spec.mu_g_value, w=w)
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """A batch of channel draws: row i holds the L branch amplitudes
-    exp(G_l) in `gains` and the exponents G_l in `latent`."""
-
-    gains: np.ndarray
-    latent: np.ndarray
-
-
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     """Substream for one batch: PCG64 seeded by SeedSequence(seed & 2^64-1,
     spawn_key=(batch_index,)). This derivation rule is the reproducibility
@@ -250,10 +249,3 @@ def iter_latent_batches(params: DerivedParams, n: int, seed: int,
             g *= 1.0 - w
             g += mix
         yield g
-
-
-def sample_gains(params: DerivedParams, n: int, seed: int,
-                 batch_size: int = 1_000_000) -> GainSample:
-    """Draw n correlated gain vectors as a (n, L) GainSample."""
-    latent = np.concatenate(list(iter_latent_batches(params, n, seed, batch_size)), axis=0)
-    return GainSample(gains=np.exp(latent), latent=latent)

@@ -62,9 +62,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_curves(stream, curves: Sequence[Curve], meta: Optional[dict] = None) -> None:
-    """Write curves as comma-separated records with '#'-prefixed header
-    metadata (sorted by key for reproducible bytes)."""
+def curves_to_text(curves: Sequence[Curve], meta: Optional[dict] = None) -> str:
+    """Curves as comma-separated records with '#'-prefixed header metadata
+    (sorted by key for reproducible bytes)."""
+    stream = io.StringIO()
     for key in sorted((meta or {})):
         stream.write(f"# {key}={meta[key]}\n")
     w = csv.writer(stream, lineterminator="\n")
@@ -77,16 +78,11 @@ def write_curves(stream, curves: Sequence[Curve], meta: Optional[dict] = None) -
                 _fmt(p.stderr), "" if p.n is None else p.n,
                 "" if p.hits is None else p.hits, p.note,
             ])
-
-
-def curves_to_text(curves: Sequence[Curve], meta: Optional[dict] = None) -> str:
-    buf = io.StringIO()
-    write_curves(buf, curves, meta)
-    return buf.getvalue()
+    return stream.getvalue()
 
 
 def read_curves(stream) -> tuple[dict, list[Curve]]:
-    """Inverse of write_curves: returns (meta, curves). Curves are grouped
+    """Inverse of curves_to_text: returns (meta, curves). Curves are grouped
     by label in file order."""
     meta: dict = {}
     rows = []

@@ -26,6 +26,8 @@ from .schemes import SchemeKind
 from .special_fn import reg_gamma_upper_log
 
 _LN_2PI = math.log(2.0 * math.pi)
+# ln 2^-1075, half the least subnormal: a probability below it rounds to 0.
+_LN_HALF_TINY = -1075.0 * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +63,9 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
     dimension in terms of the Gaussian CDF).
 
     Target accuracy: 1e-14 absolute or 1e-10 relative, whichever is laxer;
-    failing both raises IntegrationFailureError with the achieved estimate.
+    failing both raises IntegrationFailureError with the achieved estimate,
+    as does a peak search that finds no finite peak or one the integrand
+    overflows against (a channel too narrow for it).
     """
     if not math.isfinite(mu_G):
         raise DomainError(f"mu_G must be finite, got {mu_G!r}")
@@ -75,6 +79,13 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
         return 0.0
 
     top = math.log(y)
+    # exp(g1) + exp(g2) >= 2 exp((g1 + g2)/2), so the CDF is at most that of
+    # (g1 + g2)/2 ~ N(mu_G, sigma_G^2 (1 + rho)/2) at ln(y/2). Where that bound
+    # rounds to 0 so does the CDF; on narrow channels the peak search below
+    # cannot resolve such points.
+    mean_sd = sigma_G * math.sqrt(0.5 * (1.0 + rho))
+    if float(log_ndtr((top - math.log(2.0) - mu_G) / mean_sd)) < _LN_HALF_TINY:
+        return 0.0
     lo = min(mu_G - 60.0 * sigma_G, top - 60.0 * sigma_G)
 
     def neg(g1: float) -> float:
@@ -85,7 +96,8 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
                                    options={"xatol": 1e-12 * max(1.0, sigma_G)})
     peak_g, peak_log = float(res.x), -float(res.fun)
     if not math.isfinite(peak_log):
-        return 0.0
+        raise IntegrationFailureError(
+            f"sum2 CDF quadrature found no finite integrand value at y={y}", math.nan, math.inf)
 
     def window_edge(direction: float) -> float:
         g = peak_g
@@ -105,9 +117,14 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
     def scaled(g1: float) -> float:
         return math.exp(_sum2_log_integrand(g1, mu_G, sigma_G, rho, y) - peak_log)
 
-    val, err = integrate.quad(scaled, g_lo, g_hi, epsabs=1e-14, epsrel=1e-12, limit=400)
-    total = val * math.exp(peak_log)
-    bound = err * math.exp(peak_log)
+    try:
+        val, err = integrate.quad(scaled, g_lo, g_hi, epsabs=1e-14, epsrel=1e-12, limit=400)
+        total = val * math.exp(peak_log)
+        bound = err * math.exp(peak_log)
+    except OverflowError:
+        raise IntegrationFailureError(
+            f"sum2 CDF quadrature overflowed at y={y}: its peak search missed the peak",
+            math.nan, math.inf) from None
     if bound > max(1e-14, 1e-10 * abs(total)):
         raise IntegrationFailureError(
             f"sum2 CDF quadrature reached only +/-{bound:.3e} at y={y}", total, bound)

@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from logndiv.asymptotics import (OutageQuery, egc_outage_asym_indep,
-                                 egc_outage_asym_log10, mrc_outage_asym_indep,
-                                 mrc_outage_asym_log10, sc_asymptote_decomposition,
-                                 sc_outage_asym, sc_outage_asym_indep,
+from logndiv.asymptotics import (OutageQuery, egc_outage_asym, egc_outage_asym_log10,
+                                 mrc_outage_asym, mrc_outage_asym_log10,
+                                 sc_asymptote_decomposition, sc_outage_asym,
                                  sc_outage_asym_log10, sum_lognormal_cdf_asym)
 from logndiv.baselines import fenton_wilkinson_cdf
 from logndiv.channel import (ChannelSpec, DerivedParams, a_from_rho, derive_params,
-                             rho_from_a, sample_gains)
+                             iter_latent_batches, rho_from_a)
 from logndiv.montecarlo import SimConfig, point_seed, simulate_outage, simulate_outage_multi
 from logndiv.oracles import sc_outage_exact_indep, sum2_cdf_quadrature
 from logndiv.schemes import SchemeKind
@@ -90,7 +89,7 @@ def test_criterion_2_correlation_round_trip():
 
     rho, sg, L = 0.5, 0.8, 4
     params = derive_params(ChannelSpec(L=L, rho=rho, sigma_G=sg, mu_G=0.0))
-    latent = sample_gains(params, 10**6, seed=31).latent
+    latent = np.concatenate(list(iter_latent_batches(params, 10**6, seed=31)))
     cov = np.cov(latent.T)
     target = sg * sg * ((1 - rho) * np.eye(L) + rho * np.ones((L, L)))
     worst_cov = float(np.max(np.abs(cov - target)))
@@ -112,20 +111,21 @@ def test_criterion_3_independent_limit():
     # 1% relative agreement of lg(outage) over the fig4 grid (and the linear
     # 1% check is additionally made at a low-SNR point, where it holds).
     big = DerivedParams.from_a(1000.0, 2, 0.8, 0.0)
+    p0 = derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, Er=1.0))
     grid_db = [float(d) for d in range(0, 45, 5)]
     worst = 0.0
     for db in grid_db:
         q = OutageQuery(0.1, 10 ** (db / 10.0))
         pairs = [
-            (sc_outage_asym_log10(big, q), math.log10(sc_outage_asym_indep(2, 0.8, q))),
-            (egc_outage_asym_log10(big, q), math.log10(egc_outage_asym_indep(2, 0.8, q))),
-            (mrc_outage_asym_log10(big, q), math.log10(mrc_outage_asym_indep(2, 0.8, q))),
+            (sc_outage_asym_log10(big, q), math.log10(sc_outage_asym(p0, q))),
+            (egc_outage_asym_log10(big, q), math.log10(egc_outage_asym(p0, q))),
+            (mrc_outage_asym_log10(big, q), math.log10(mrc_outage_asym(p0, q))),
         ]
         for corr, indep in pairs:
             worst = max(worst, abs(corr - indep) / abs(indep))
 
     q5 = OutageQuery(0.1, 10 ** 0.5)
-    lin = abs(sc_outage_asym(big, q5) / sc_outage_asym_indep(2, 0.8, q5) - 1.0)
+    lin = abs(sc_outage_asym(big, q5) / sc_outage_asym(p0, q5) - 1.0)
     ok = worst < 0.01 and lin < 0.01
     _report(3, "independent-limit consistency", ok,
             f"max log-outage relative gap at a=1000 over fig4 grid: {worst:.2e}; "

@@ -4,13 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from logndiv.asymptotics import (OutageQuery, egc_outage_asym, egc_outage_asym_indep,
-                                 egc_outage_asym_log10, mrc_outage_asym,
-                                 mrc_outage_asym_indep, mrc_outage_asym_log10,
-                                 outage_asym, sc_asymptote_decomposition, sc_outage_asym,
-                                 sc_outage_asym_indep, sc_outage_asym_latent,
-                                 sc_outage_asym_log10, single_branch_outage_exact,
-                                 sum_lognormal_cdf_asym)
+from logndiv.asymptotics import (OutageQuery, egc_outage_asym, egc_outage_asym_log10,
+                                 mrc_outage_asym, mrc_outage_asym_log10, outage_asym,
+                                 sc_asymptote_decomposition, sc_outage_asym,
+                                 sc_outage_asym_latent, sc_outage_asym_log10,
+                                 single_branch_outage_exact, sum_lognormal_cdf_asym)
 from logndiv.channel import ChannelSpec, DerivedParams, derive_params
 from logndiv.errors import (BelowAsymptoticRegimeError, DegenerateGeometryError,
                             DomainError)
@@ -27,16 +25,12 @@ def q_at(db, gamma=0.1):
 
 
 class TestScAsym:
-    def test_independent_mode_dispatch(self):
-        p = derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, Er=1.0))
-        q = q_at(20)
-        assert sc_outage_asym(p, q) == sc_outage_asym_indep(2, 0.8, q)
-
     def test_large_a_near_independent(self):
         # Low-SNR point: the linear gap to the independent form shrinks like 1/a.
         p = DerivedParams.from_a(1e3, 2, 0.8, 0.0)
         q = q_at(5)
-        c, i = sc_outage_asym(p, q), sc_outage_asym_indep(2, 0.8, q)
+        c = sc_outage_asym(p, q)
+        i = sc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, Er=1.0)), q)
         assert abs(c - i) / i < 1e-2
 
     def test_fig4_point_regression(self):
@@ -84,13 +78,15 @@ class TestScIndep:
         # one-branch tail approximation at 6.
         sg, gamma = 0.8, 0.1
         er = gamma * math.exp(2 * (6 * sg + sg * sg))
-        v = sc_outage_asym_indep(2, sg, OutageQuery(gamma, er))
+        v = sc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=sg, Er=1.0)),
+                           OutageQuery(gamma, er))
         assert v == pytest.approx(gaussian_q_asym(6.0) ** 2, rel=1e-12)
 
     def test_vs_exact_at_z8(self):
         sg, gamma = 0.8, 0.1
         er = gamma * math.exp(2 * (8 * sg + sg * sg))
-        approx = sc_outage_asym_indep(2, sg, OutageQuery(gamma, er))
+        approx = sc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=sg, Er=1.0)),
+                                OutageQuery(gamma, er))
         exact = sc_outage_exact_indep(2, 0.5 * math.log(er) - sg * sg, sg, gamma)
         assert abs(approx / exact - 1.0) < 0.05
 
@@ -99,7 +95,8 @@ class TestScIndep:
         ratios = []
         for z in (4.0, 8.0, 12.0, 16.0):
             er = gamma * math.exp(2 * (z * sg + sg * sg))
-            approx = sc_outage_asym_indep(2, sg, OutageQuery(gamma, er))
+            approx = sc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=sg, Er=1.0)),
+                                OutageQuery(gamma, er))
             exact = sc_outage_exact_indep(2, 0.5 * math.log(er) - sg * sg, sg, gamma)
             ratios.append(approx / exact)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -108,7 +105,8 @@ class TestScIndep:
     def test_single_branch_reduction(self):
         sg, gamma = 0.7, 0.2
         er = gamma * math.exp(2 * (5 * sg + sg * sg))
-        v = sc_outage_asym_indep(1, sg, OutageQuery(gamma, er))
+        v = sc_outage_asym(derive_params(ChannelSpec(L=1, rho=0.0, sigma_G=sg, Er=1.0)),
+                           OutageQuery(gamma, er))
         assert v == pytest.approx(gaussian_q_asym(5.0), rel=1e-12)
 
 
@@ -126,15 +124,17 @@ class TestEgcMrc:
         assert egc_outage_asym(p, q_at(30)) == pytest.approx(2.1752217850948290e-13, rel=1e-12)
 
     def test_fig6_indep_regression(self):
-        assert egc_outage_asym_indep(2, 1.2, q_at(20)) == pytest.approx(
+        p = derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=1.2, Er=1.0))
+        assert egc_outage_asym(p, q_at(20)) == pytest.approx(
             1.3082526605555397e-03, rel=1e-12)
-        assert egc_outage_asym_indep(2, 1.2, q_at(30)) == pytest.approx(
+        assert egc_outage_asym(p, q_at(30)) == pytest.approx(
             7.5732870944283440e-06, rel=1e-12)
 
     def test_egc_large_a_near_independent(self):
         p = DerivedParams.from_a(1e3, 2, 0.8, 0.0)
         q = q_at(5)
-        c, i = egc_outage_asym(p, q), egc_outage_asym_indep(2, 0.8, q)
+        c = egc_outage_asym(p, q)
+        i = egc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, Er=1.0)), q)
         assert abs(c - i) / i < 1e-2
 
     def test_egc_indep_single_branch_vs_exact(self):
@@ -143,7 +143,8 @@ class TestEgcMrc:
         sg, gamma = 1.0, 0.1
         z = 4.7534243088229
         er = gamma * math.exp(2 * (sg * z + sg * sg))
-        approx = egc_outage_asym_indep(1, sg, OutageQuery(gamma, er))
+        approx = egc_outage_asym(derive_params(ChannelSpec(L=1, rho=0.0, sigma_G=sg, Er=1.0)),
+                                 OutageQuery(gamma, er))
         exact = single_branch_outage_exact(0.5 * math.log(er) - sg * sg, sg, gamma)
         assert abs(exact - 1e-6) / 1e-6 < 1e-3
         assert abs(approx / exact - 1.0) < 0.05
@@ -183,7 +184,8 @@ class TestEgcMrc:
     def test_mrc_large_a_near_independent(self):
         p = DerivedParams.from_a(1e3, 2, 0.8, 0.0)
         q = q_at(5)
-        c, i = mrc_outage_asym(p, q), mrc_outage_asym_indep(2, 0.8, q)
+        c = mrc_outage_asym(p, q)
+        i = mrc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, Er=1.0)), q)
         assert abs(c - i) / i < 1e-2
 
     def test_degenerate_and_regime_errors(self):
@@ -193,18 +195,20 @@ class TestEgcMrc:
         with pytest.raises(DegenerateGeometryError):
             mrc_outage_asym(p1, q_at(20))
         with pytest.raises(BelowAsymptoticRegimeError):
-            egc_outage_asym_indep(2, 1.2, OutageQuery(0.1, 1e-10))
+            egc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=1.2, Er=1.0)),
+                            OutageQuery(0.1, 1e-10))
 
 
 class TestIndependentLimitContinuity:
     def test_one_percent_in_log_domain_on_fig4_grid(self):
         big = DerivedParams.from_a(1e3, 2, 0.8, 0.0)
+        p0 = derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=0.8, Er=1.0))
         for db in FIG4_GRID_DB:
             q = q_at(db)
             checks = [
-                (sc_outage_asym_log10(big, q), math.log10(sc_outage_asym_indep(2, 0.8, q))),
-                (egc_outage_asym_log10(big, q), math.log10(egc_outage_asym_indep(2, 0.8, q))),
-                (mrc_outage_asym_log10(big, q), math.log10(mrc_outage_asym_indep(2, 0.8, q))),
+                (sc_outage_asym_log10(big, q), math.log10(sc_outage_asym(p0, q))),
+                (egc_outage_asym_log10(big, q), math.log10(egc_outage_asym(p0, q))),
+                (mrc_outage_asym_log10(big, q), math.log10(mrc_outage_asym(p0, q))),
             ]
             for corr, indep in checks:
                 assert abs(corr - indep) / abs(indep) < 0.01
@@ -223,7 +227,8 @@ class TestSumCdf:
         sg, gamma, er = 1.2, 0.1, 1e3
         mu = 0.5 * math.log(er) - sg * sg
         v_sum = sum_lognormal_cdf_asym(2, 0.0, mu, sg, math.sqrt(2 * gamma))
-        v_egc = egc_outage_asym_indep(2, sg, OutageQuery(gamma, er))
+        v_egc = egc_outage_asym(derive_params(ChannelSpec(L=2, rho=0.0, sigma_G=sg, Er=1.0)),
+                                OutageQuery(gamma, er))
         assert v_sum == pytest.approx(v_egc, rel=1e-12)
 
     def test_nondecreasing_in_y(self):
@@ -320,6 +325,19 @@ class TestDispatcher:
         expect = single_branch_outage_exact(0.5 * math.log(q.er) - 0.64, 0.8, 0.1)
         for s in SchemeKind:
             assert outage_asym(p, s, q) == pytest.approx(expect, rel=1e-14)
+
+    def test_single_branch_schemes_stay_approximations(self):
+        # At L = 1 only the dispatcher is exact; the per-scheme forms remain
+        # the approximation (0 dB, where they differ most).
+        p = derive_params(ChannelSpec(L=1, rho=0.0, sigma_G=0.8, Er=1.0))
+        q = q_at(0)
+        exact = single_branch_outage_exact(-0.64, 0.8, 0.1)
+        assert exact == pytest.approx(0.2614, abs=1e-4)
+        for s, fn, approx in ((SchemeKind.SC, sc_outage_asym, 0.5089),
+                              (SchemeKind.EGC, egc_outage_asym, 0.2605),
+                              (SchemeKind.MRC, mrc_outage_asym, 0.2319)):
+            assert outage_asym(p, s, q) == exact
+            assert fn(p, q) == pytest.approx(approx, abs=1e-4)
 
     def test_single_branch_exact_domain(self):
         for sg in (0.0, -0.5, math.inf, math.nan):

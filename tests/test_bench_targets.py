@@ -16,3 +16,19 @@ def test_every_layer_target_resolves(monkeypatch):
     missing = [f"{t.module.__name__}.{t.attr}" for t in targets
                if not callable(getattr(t.module, t.attr, None))]
     assert not missing
+
+
+def test_every_workload_op_passes_its_check(monkeypatch, tmp_path):
+    # The untraced ops call the package directly, so a rename breaks them
+    # even where no layer target changes.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    failed = {}
+    for name in workloads.BUILDERS:
+        w = workloads.build(name, 1, tmp_path / name)
+        w.warmup()
+        for op in w.ops(0):
+            why = op.check(op.call())
+            if why is not None:
+                failed[f"{name}/{op.name}"] = why
+    assert not failed

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -229,11 +230,13 @@ def _flag(argv, flag, value):
     _flag(_flag(_SUMCDF, "--y", "0:0.2:0.1"), "--method", "fw"),
     ["figure", "fig7", "--samples", "1000"],
     ["figure", "fig4", "--samples", "0"],
+    ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "5", "--sigma-g", "1e-10",
+     "--y", "296.8:296.9:0.1", "--method", "quadrature"],
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
         "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "sumcdf-preset-samples",
-        "outage-preset-zero-samples"])
+        "outage-preset-zero-samples", "quadrature-peak-missed"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
@@ -284,6 +287,30 @@ def _points(path):
     with open(path) as f:
         _, curves = read_curves(f)
     return curves, [(p.x, p.outage, p.note) for c in curves for p in c.points]
+
+
+@pytest.mark.parametrize("L, sigma", [("2.7", "0.8"), ("true", "0.8"), ("2", '"0.8"'),
+                                      ("1e300", "0.8"), ("1" + "0" * 5000, "0.8")],
+                         ids=["L-fraction", "L-bool", "sigma-string", "L-1e300", "L-5001-digits"])
+def test_bad_config_value_is_domain_error(L, sigma, tmp_path, capsys):
+    cfg = tmp_path / "chan.json"
+    cfg.write_text(f'{{"L": {L}, "rho": 0.5, "sigma_G": {sigma}, "Er_dB": 10.0}}')
+    argv = ["asymptotic", "--config", str(cfg), "--gamma-th", "0.1", "--scheme", "sc",
+            "--er-db", "0:10:5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not re.search(r"\d{20}", err)
+
+
+@pytest.mark.parametrize("sigma", ["1e-4", "1e-15"])
+def test_quadrature_underflow_on_narrow_channel(sigma, tmp_path):
+    # Far left of a narrow channel's mass the CDF underflows; every point is that 0.
+    out = tmp_path / "q.csv"
+    argv = _flag(_flag(_flag(_SUMCDF, "--rho", "0.5"), "--sigma-g", sigma), "--method",
+                 "quadrature")
+    assert main(_flag(argv, "--y", "0.1:1:0.3") + ["--out", str(out)]) == 0
+    assert [v for _, v, _ in _points(out)[1]] == [0.0] * 4
 
 
 def test_single_branch_sumcdf_ignores_rho(tmp_path):
