@@ -77,7 +77,9 @@ def log_det_mixing(a: float, L: int) -> float:
 def _check_branches(L: int, minimum: int = 1) -> None:
     # Every form computes with float(L), which is exact up to 2^53.
     if not (isinstance(L, (int, np.integer)) and minimum <= L <= 2 ** 53):
-        raise DomainError(f"branch count must be an integer in [{minimum}, 2^53], got {L!r}")
+        big = isinstance(L, (int, np.integer)) and abs(L) > 2 ** 53   # shown by size, not digits
+        shown = f"a {int(L).bit_length()}-bit integer" if big else repr(L)
+        raise DomainError(f"branch count must be an integer in [{minimum}, 2^53], got {shown}")
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,7 @@ class ChannelSpec:
             if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
                 raise DomainError(f"channel config field {key} must be a number, got {d[key]!r}")
         L = d["L"]
-        if isinstance(L, float):
-            # Checked before int(): 1e300 would print as a 301-digit integer.
-            if not (L.is_integer() and 1.0 <= L <= 2.0 ** 53):
-                raise DomainError(f"branch count must be an integer in [1, 2^53], got {L!r}")
+        if isinstance(L, float) and L.is_integer():   # 2.0 is 2; 2.7 and inf are refused below
             L = int(L)
         try:
             rho = float(d["rho"])

@@ -6,10 +6,11 @@ package is that simulation stops being feasible once outage drops below
 with variance reduction.
 
 Determinism contract: identical (seed, samples, batch_size) give identical
-hit counts, independent of how batches are scheduled, because every batch
-draws from a substream derived only from (seed, batch index) and results
-reduce by addition. A sweep draws one stream per grid point (point_seed) and
-counts every scheme of the channel from it; `presets` turns counts into curves.
+hit counts however batches are scheduled: batch i draws from a substream
+derived only from (seed, i), and counts reduce by addition. A sweep draws one
+stream at its first power and counts every point and scheme from it, since a
+power change scales every combiner's SNR alike; its errors are therefore
+correlated along the curve. `presets` turns counts into curves.
 """
 
 from __future__ import annotations
@@ -76,19 +77,35 @@ def _estimate_from_hits(hits: int, n: int) -> SimEstimate:
     return SimEstimate(p_hat=p, stderr=se, n=n, hits=hits, ci95=ci)
 
 
-def simulate_outage_multi(params: DerivedParams, schemes: Sequence[SchemeKind],
-                          q: OutageQuery, cfg: SimConfig) -> dict[SchemeKind, SimEstimate]:
-    """Estimate outage at q.er for several schemes from one common gain
-    stream (common random numbers), the default for scheme comparisons.
-    Like the closed forms, it reads the power from the query, not from the
-    anchor in params."""
-    hits = dict.fromkeys(schemes, 0)   # a scheme listed twice is counted once
-    draws = iter_latent_batches(params.with_er(q.er), cfg.samples, cfg.seed, cfg.batch_size)
+def point_seed(seed: int, index: int) -> int:
+    """Independent seed for point `index`, hashed from (seed, index); `sweep` shares one stream."""
+    ss = np.random.SeedSequence(entropy=int(seed) & _U64, spawn_key=(0x9E37, int(index)))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def sweep(params: DerivedParams, schemes: Sequence[SchemeKind], gamma_th: float,
+          er_grid: Sequence[float], cfg: SimConfig) -> dict[SchemeKind, list[SimEstimate]]:
+    """Each scheme's estimates along an Er grid (watts), in order, from one stream
+    drawn at er_grid[0]: point er counts the draws below gamma_th * er_grid[0] / er."""
+    if not er_grid:
+        return {s: [] for s in schemes}
+    cuts = [gamma_th * (er_grid[0] / OutageQuery(gamma_th, er).er) for er in er_grid]
+    hits = {s: [0] * len(cuts) for s in schemes}   # a scheme listed twice is counted once
+    draws = iter_latent_batches(params.with_er(er_grid[0]), cfg.samples, cfg.seed, cfg.batch_size)
     for latent in draws:
         gains = np.exp(latent)
-        for s in hits:
-            hits[s] += int(np.count_nonzero(combiner_snr(s, gains) < q.gamma_th))
-    return {s: _estimate_from_hits(n, cfg.samples) for s, n in hits.items()}
+        for s, h in hits.items():
+            snr = combiner_snr(s, gains)
+            for i, cut in enumerate(cuts):
+                h[i] += int(np.count_nonzero(snr < cut))
+    return {s: [_estimate_from_hits(n, cfg.samples) for n in h] for s, h in hits.items()}
+
+
+def simulate_outage_multi(params: DerivedParams, schemes: Sequence[SchemeKind],
+                          q: OutageQuery, cfg: SimConfig) -> dict[SchemeKind, SimEstimate]:
+    """The one-point sweep: several schemes' outage at q.er from one common gain
+    stream. Like the closed forms, it reads the power from q, not from params."""
+    return {s: e[0] for s, e in sweep(params, schemes, q.gamma_th, [q.er], cfg).items()}
 
 
 def simulate_outage(params: DerivedParams, scheme: SchemeKind,
@@ -96,23 +113,3 @@ def simulate_outage(params: DerivedParams, scheme: SchemeKind,
     """Single-scheme outage estimate; same stream as the multi-scheme form,
     so per-seed results are comparable across schemes."""
     return simulate_outage_multi(params, [scheme], q, cfg)[scheme]
-
-
-def point_seed(seed: int, index: int) -> int:
-    """Per-grid-point substream seed, derived by hashing (seed, index) so
-    grids can be split or merged without correlation between points."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _U64, spawn_key=(0x9E37, int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def sweep(params: DerivedParams, schemes: Sequence[SchemeKind], gamma_th: float,
-          er_grid: Sequence[float], cfg: SimConfig) -> dict[SchemeKind, list[SimEstimate]]:
-    """Each scheme's estimates along an Er grid (watts), in grid order, all
-    counted from one derived substream per point (common random numbers)."""
-    out: dict[SchemeKind, list[SimEstimate]] = {s: [] for s in schemes}
-    for i, er in enumerate(er_grid):
-        est = simulate_outage_multi(params, schemes, OutageQuery(gamma_th, er),
-                                    SimConfig(cfg.samples, point_seed(cfg.seed, i), cfg.batch_size))
-        for s, e in est.items():
-            out[s].append(e)
-    return out

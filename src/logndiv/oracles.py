@@ -64,8 +64,8 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
 
     Target accuracy: 1e-14 absolute or 1e-10 relative, whichever is laxer;
     failing both raises IntegrationFailureError with the achieved estimate,
-    as does a peak search that finds no finite peak or one the integrand
-    overflows against (a channel too narrow for it).
+    as does a peak search that finds no finite peak, one the integrand
+    overflows against or a window without edges (a channel too narrow).
     """
     if not math.isfinite(mu_G):
         raise DomainError(f"mu_G must be finite, got {mu_G!r}")
@@ -80,12 +80,16 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
 
     top = math.log(y)
     # exp(g1) + exp(g2) >= 2 exp((g1 + g2)/2), so the CDF is at most that of
-    # (g1 + g2)/2 ~ N(mu_G, sigma_G^2 (1 + rho)/2) at ln(y/2). Where that bound
-    # rounds to 0 so does the CDF; on narrow channels the peak search below
-    # cannot resolve such points.
-    mean_sd = sigma_G * math.sqrt(0.5 * (1.0 + rho))
-    if float(log_ndtr((top - math.log(2.0) - mu_G) / mean_sd)) < _LN_HALF_TINY:
+    # (g1 + g2)/2 ~ N(mu_G, sigma_G^2 (1 + rho)/2) at ln(y/2); both terms <= y/2
+    # put the sum <= y, so it is at least 1 - 2Q((ln(y/2) - mu_G)/sigma_G). Where
+    # a bound, at the worse end of the rounding of ln(y/2) - mu_G, rounds to 0
+    # or 1 so does the CDF: narrow channels defeat the peak search there.
+    d = top - math.log(2.0) - mu_G
+    slack = 8.0 * math.ulp(max(abs(top), abs(mu_G), 1.0))
+    if float(log_ndtr((d + slack) / (sigma_G * math.sqrt(0.5 * (1.0 + rho))))) < _LN_HALF_TINY:
         return 0.0
+    if float(log_ndtr((slack - d) / sigma_G)) < -55.0 * math.log(2.0):
+        return 1.0
     lo = min(mu_G - 60.0 * sigma_G, top - 60.0 * sigma_G)
 
     def neg(g1: float) -> float:
@@ -110,7 +114,7 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
                 return nxt
             g = nxt
             step *= 1.3
-        return max(lo, min(g, top))
+        raise IntegrationFailureError(f"sum2 CDF integrand has no edge at y={y}", math.nan, math.inf)
 
     g_lo, g_hi = window_edge(-1.0), window_edge(+1.0)
 

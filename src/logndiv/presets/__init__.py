@@ -103,7 +103,7 @@ def sim_config(samples: int, seed: int, batch_size: int) -> SimConfig:
 def simulated_curves(spec: ChannelSpec, schemes: list[SchemeKind], gamma_th: float,
                      er_grid: list[float], cfg: SimConfig, tag: str = "") -> list[Curve]:
     """Monte Carlo curves '<scheme><tag>-sim' of several schemes on one channel,
-    in scheme order, all counted from one stream per grid point."""
+    in scheme order, all counted from one stream drawn at the first grid power."""
     from ..montecarlo import sweep
     estimates = sweep(derive_params(spec), schemes, gamma_th, er_grid, cfg)
     return [Curve(label=f"{s.value}{tag}-sim", scheme=s.value, source="simulation",

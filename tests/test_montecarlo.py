@@ -138,20 +138,28 @@ class TestSweep:
         assert "resolution_exhausted" in c.points[0].note
         assert "p_upper_95" in c.points[0].note
 
-    def test_every_scheme_counted_from_one_stream_per_point(self):
-        # Each point's estimates are those of one multi-scheme draw at
-        # point_seed(seed, i), the same whichever schemes are asked for.
+    def test_every_point_and_scheme_counted_from_one_stream(self):
+        # Point 0 is the one-point estimate at er_grid[0] with the same cfg,
+        # the same whichever schemes are asked for.
         p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
         grid = [1.0, 10.0, 100.0]
         cfg = SimConfig(samples=5_000, seed=4, batch_size=2_000)
         est = sweep(p, ALL, 0.1, grid, cfg)
-        for i, er in enumerate(grid):
-            point = simulate_outage_multi(p, ALL, OutageQuery(0.1, er),
-                                          SimConfig(5_000, point_seed(4, i), 2_000))
-            assert {s: est[s][i] for s in ALL} == point
+        assert {s: est[s][0] for s in ALL} == simulate_outage_multi(p, ALL, OutageQuery(0.1, 1.0), cfg)
         for s in ALL:
             assert sweep(p, [s], 0.1, grid, cfg) == {s: est[s]}
             assert sweep(p, [s, s], 0.1, grid, cfg) == {s: est[s]}
+        assert sweep(p, ALL, 0.1, [], cfg) == {s: [] for s in ALL}
+
+    def test_hits_never_rise_along_a_fine_grid(self):
+        # One stream serves the whole grid, so a higher power can only drop
+        # draws from outage; independent streams per point would jitter.
+        p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
+        grid = [1.0 + 1e-3 * i for i in range(6)]
+        est = sweep(p, ALL, 0.1, grid, SimConfig(samples=5_000, seed=4, batch_size=2_000))
+        for s in ALL:
+            hits = [e.hits for e in est[s]]
+            assert hits[0] > 0 and all(b <= a for a, b in zip(hits, hits[1:])), (s, hits)
 
     def test_correlation_ordering_at_moderate_snr(self):
         # Stronger correlation hurts: simulated SC outage increases with rho

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logndiv.channel import a_from_rho
-from logndiv.errors import DomainError
+from logndiv.errors import DomainError, IntegrationFailureError
 from logndiv.oracles import (DerivativeCheckReport, LemmaProbe, implicit_derivative_check,
                              lemma_ratio, nearest_point_closed, nearest_point_numeric,
                              region_indicator, sc_outage_exact_indep,
@@ -86,6 +86,17 @@ class TestSum2Quadrature:
         ys = np.geomspace(0.05, 20.0, 50)
         vals = [sum2_cdf_quadrature(0.0, sg, 0.2, float(y)) for y in ys]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("sg", [1e-8, 1e-13, 1e-100])
+    def test_narrow_channel_certified_or_refused(self, sg):
+        # Off the mass the bounds certify 0 and 1; at its centre the value
+        # is resolved to 1/2 or the quadrature says it cannot be.
+        assert sum2_cdf_quadrature(0.0, sg, 0.5, 1.9) == 0.0
+        assert sum2_cdf_quadrature(0.0, sg, 0.5, 2.1) == 1.0
+        try:
+            assert sum2_cdf_quadrature(0.0, sg, 0.5, 2.0) == pytest.approx(0.5, abs=1e-6)
+        except IntegrationFailureError:
+            pass
 
     def test_domain(self):
         with pytest.raises(DomainError):
