@@ -39,7 +39,7 @@ class SeriesCapError(LogndivError):
 
 
 class IntegrationFailureError(LogndivError):
-    """Adaptive quadrature could not reach the requested tolerance.
+    """A quadrature rule did not settle, or its inputs' rounding moves the value past tolerance.
 
     The best estimate and its error bound are attached for diagnostics.
     """

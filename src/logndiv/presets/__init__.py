@@ -127,8 +127,8 @@ def _y_grid(cfg: dict) -> list[float]:
 def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
                  y_grid: list[float], method: str, label: Optional[str] = None) -> Curve:
     """Sum-CDF curve by one of: the tail approximation ('asym'), the
-    moment-matched lognormal ('fw'), or adaptive quadrature ('quadrature',
-    two branches only)."""
+    moment-matched lognormal ('fw'), or the exact log-space quadrature
+    ('quadrature', two branches only)."""
     sources = {"asym": "asymptotic", "fw": "baseline", "quadrature": "exact"}
     if method not in sources:
         raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")

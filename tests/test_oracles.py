@@ -98,6 +98,40 @@ class TestSum2Quadrature:
         except IntegrationFailureError:
             pass
 
+    # (sigma_G, y, P) at mu_G = 0, rho = 0.5 and y = 2 exp(-k sigma_G sqrt(0.75)),
+    # k = 20 and 35: P from 80-digit mpmath quadrature over g1 / sigma_G of the
+    # g1-conditioned integrand, which the cosh form matches to 4e-33.
+    @pytest.mark.parametrize("sg, y, exact", [
+        (1e-8, 1.9999996535898685, 2.753624182462608239e-89),
+        (1e-8, 1.9999993937823093, 1.1249107888738985451e-268),
+        (1e-10, 1.9999999965358983, 2.7536049795216753108e-89),
+        (1e-10, 1.9999999939378221, 1.1248985350128911055e-268),
+        (1e-13, 1.9999999999965359, 2.7484440673733002917e-89),
+        (1e-13, 1.9999999999939377, 1.1059671776567408256e-268),
+    ])
+    def test_narrow_channel_tail_accuracy(self, sg, y, exact):
+        assert sum2_cdf_quadrature(0.0, sg, 0.5, y) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sg", [1e-7, 1e-8, 1e-10])
+    def test_narrow_channel_centre_is_resolved(self, sg):
+        # ln(y/2) - mu_G is exactly 0 here, so no rounding stands in the way.
+        assert sum2_cdf_quadrature(0.0, sg, 0.5, 2.0) == pytest.approx(0.5, abs=1e-6)
+
+    # ln P from 50-digit evaluations, far below the float range.
+    @pytest.mark.parametrize("mu, sg, rho, y, ln_p", [
+        (0.0, 0.5477, 0.0, 1e-30, -16236.080558822878),
+        (0.0, 2.0, 0.5, 1e-100, -8897.764971448749),
+        (0.0, 0.8, 0.9, 1e-8, -304.9092373107939),
+        (2.5, 0.8, 0.5, 0.01, -67.33207338139773),
+    ])
+    def test_log_core_deep_tail(self, mu, sg, rho, y, ln_p):
+        from logndiv.oracles import _sum2_cdf_log
+
+        assert _sum2_cdf_log(mu, sg, rho, y)[0] == pytest.approx(ln_p, rel=1e-12)
+
+    def test_least_subnormal_y_underflows(self):
+        assert sum2_cdf_quadrature(0.0, 0.5477, 0.0, 5e-324) == 0.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sum2_cdf_quadrature(0.0, -1.0, 0.0, 1.0)

@@ -62,6 +62,13 @@ def test_scipy_commands_still_run_from_a_fresh_process(argv, tmp_path):
     assert _run_fresh(tmp_path, [argv])["codes"] == [0]
 
 
+def test_quadrature_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
+    commands = [["figure", "fig7"], _SUMCDF + ["quadrature"]]
+    out = _run_fresh(tmp_path, commands)
+    assert out["codes"] == [0] * len(commands)
+    assert [m for m in out["scipy"] if m.startswith(("scipy.integrate", "scipy.optimize"))] == []
+
+
 def test_every_exported_name_is_listed_by_dir():
     assert set(logndiv.__all__) <= set(dir(logndiv))
 
