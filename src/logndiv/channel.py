@@ -227,8 +227,10 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 def iter_latent_batches(params: DerivedParams, n: int, seed: int,
                         batch_size: int = 1_000_000) -> Iterator[np.ndarray]:
     """Yield (batch, L) arrays of exponents G_l, deterministically for fixed
-    (seed, n, batch_size) regardless of how the consumer schedules work. A
-    batch of more than MAX_BATCH_VALUES draws is refused before any is drawn."""
+    (seed, n, batch_size) regardless of how the consumer schedules work. Each
+    is the transposed view of an (L, batch) block whose row l is branch l, so
+    a reduction over branches runs across contiguous rows. A batch of more
+    than MAX_BATCH_VALUES draws is refused before any is drawn."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample count must be an integer >= 1, got {n!r}")
     if not (isinstance(batch_size, (int, np.integer)) and batch_size >= 1):
@@ -242,7 +244,7 @@ def iter_latent_batches(params: DerivedParams, n: int, seed: int,
     mu = params.mu_G / (1.0 + (L - 1) * w)
     sd = params.sigma_G / math.sqrt(1.0 + (L - 1) * w * w)
     for batch_index, start in enumerate(range(0, n, batch_size)):
-        g = batch_rng(seed, batch_index).normal(mu, sd, size=(min(batch_size, n - start), L))
+        g = batch_rng(seed, batch_index).normal(mu, sd, size=(L, min(batch_size, n - start))).T
         if w:
             mix = w * g.sum(axis=1, keepdims=True)
             g *= 1.0 - w

@@ -6,8 +6,9 @@ package is that simulation stops being feasible once outage drops below
 with variance reduction.
 
 Determinism contract: identical (seed, samples, batch_size) give identical
-hit counts however batches are scheduled: batch i draws from a substream
-derived only from (seed, i), and counts reduce by addition. A sweep draws one
+hit counts however batches are scheduled: batch i draws an (L, batch) block
+of exponents, row l for branch l, from a substream derived only from
+(seed, i), and counts reduce by addition. A sweep draws one
 stream at its first power and counts every point and scheme from it, since a
 power change scales every combiner's SNR alike; its errors are therefore
 correlated along the curve. `presets` turns counts into curves.

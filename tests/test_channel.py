@@ -8,6 +8,7 @@ from logndiv.channel import (MAX_BATCH_VALUES, ChannelSpec, DerivedParams, a_fro
                              derive_params, iter_latent_batches, log_det_mixing, mixing_weight,
                              rho_from_a)
 from logndiv.errors import DomainError
+from logndiv.schemes import SchemeKind, combiner_snr
 
 
 class TestCorrelationConversions:
@@ -156,11 +157,35 @@ class TestSampling:
         assert np.allclose(g, g[:, [0]])
 
     def test_rho0_batch_is_a_direct_draw(self):
-        # At w = 0 the mix is skipped: one batch is the plain N(mu_G, sigma_G) draw.
+        # At w = 0 the mix is skipped: one batch is the plain N(mu_G, sigma_G)
+        # draw of an (L, batch) block, row l branch l, seen as (batch, L).
         p = derive_params(ChannelSpec(L=3, rho=0.0, sigma_G=0.8, mu_G=0.3))
         batches = list(iter_latent_batches(p, 5000, seed=17, batch_size=2000))
-        expected = batch_rng(17, 1).normal(0.3, 0.8, (2000, 3))
+        expected = batch_rng(17, 1).normal(0.3, 0.8, (3, 2000)).T
         assert np.array_equal(batches[1], expected)
+
+    def test_mixed_batch_is_a_mix_of_branch_rows(self):
+        # At w > 0 the (L, batch) draw X of N(mu', sd') becomes
+        # G = (1 - w) X + w sum_l X_l, still one contiguous row per branch.
+        p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=0.8, mu_G=0.3))
+        w = p.w
+        mu, sd = 0.3 / (1.0 + 2 * w), 0.8 / math.sqrt(1.0 + 2 * w * w)
+        batches = list(iter_latent_batches(p, 5000, seed=17, batch_size=2000))
+        x = batch_rng(17, 1).normal(mu, sd, (3, 2000)).T
+        assert batches[1].shape == (2000, 3) and batches[1].flags.f_contiguous
+        assert np.array_equal(batches[1], (1.0 - w) * x + w * x.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("L", [2, 3, 8, 16])
+    def test_combiners_read_a_batch_as_its_contiguous_copy(self, L):
+        p = derive_params(ChannelSpec(L=L, rho=0.5, sigma_G=1.0, mu_G=0.0))
+        gains = np.exp(next(iter_latent_batches(p, 3000, seed=5)))
+        for scheme in SchemeKind:
+            got = combiner_snr(scheme, gains)
+            ref = combiner_snr(scheme, np.ascontiguousarray(gains))
+            if L < 8:   # numpy adds fewer than 8 terms in order in either layout
+                assert np.array_equal(got, ref)
+            else:       # and 8 or more pairwise along a contiguous axis
+                np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
 
     def test_bit_exact_reproducibility(self):
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, mu_G=0.0))
