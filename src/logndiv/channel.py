@@ -30,7 +30,9 @@ from .errors import DomainError
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# Most float64 values one sampling batch may hold (1 GiB): every batch is drawn whole.
+# A sampling batch holds BATCH_ROWS rows of L draws, fewer where that would
+# pass MAX_BATCH_VALUES float64 values (1 GiB): every batch is drawn whole.
+BATCH_ROWS = 1_000_000
 MAX_BATCH_VALUES = 2 ** 27
 
 
@@ -224,27 +226,27 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def iter_latent_batches(params: DerivedParams, n: int, seed: int,
-                        batch_size: int = 1_000_000) -> Iterator[np.ndarray]:
+def iter_latent_batches(params: DerivedParams, n: int, seed: int) -> Iterator[np.ndarray]:
     """Yield (batch, L) arrays of exponents G_l, deterministically for fixed
-    (seed, n, batch_size) regardless of how the consumer schedules work. Each
-    is the transposed view of an (L, batch) block whose row l is branch l, so
-    a reduction over branches runs across contiguous rows. A batch of more
-    than MAX_BATCH_VALUES draws is refused before any is drawn."""
+    (seed, n) regardless of how the consumer schedules work. Each batch holds
+    min(BATCH_ROWS, MAX_BATCH_VALUES // L) rows, the last what is left, and is
+    the transposed view of an (L, batch) block whose row l is branch l, so a
+    reduction over branches runs across contiguous rows. A channel of more
+    than MAX_BATCH_VALUES branches, whose one row could not be drawn whole,
+    is refused before anything is drawn."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample count must be an integer >= 1, got {n!r}")
-    if not (isinstance(batch_size, (int, np.integer)) and batch_size >= 1):
-        raise DomainError(f"batch size must be an integer >= 1, got {batch_size!r}")
     L, w = params.L, params.w
-    if min(batch_size, n) * L > MAX_BATCH_VALUES:
-        raise DomainError(f"one batch of {min(batch_size, n)} x {L} draws holds more than "
-                          f"{MAX_BATCH_VALUES} values (1 GiB); lower --batch-size")
+    if L > MAX_BATCH_VALUES:
+        raise DomainError(f"one sample of {L} branches holds more than "
+                          f"{MAX_BATCH_VALUES} values (1 GiB)")
+    rows = min(BATCH_ROWS, MAX_BATCH_VALUES // L)
     # X' = a*X ~ N(mu_G/s, sigma_G^2/s2) and G = (1-w) X' + w sum X'; at w = 0
     # the mix is the identity, so it is skipped and G is drawn directly.
     mu = params.mu_G / (1.0 + (L - 1) * w)
     sd = params.sigma_G / math.sqrt(1.0 + (L - 1) * w * w)
-    for batch_index, start in enumerate(range(0, n, batch_size)):
-        g = batch_rng(seed, batch_index).normal(mu, sd, size=(L, min(batch_size, n - start))).T
+    for batch_index, start in enumerate(range(0, n, rows)):
+        g = batch_rng(seed, batch_index).normal(mu, sd, size=(L, min(rows, n - start))).T
         if w:
             mix = w * g.sum(axis=1, keepdims=True)
             g *= 1.0 - w

@@ -21,7 +21,7 @@ from .channel import ChannelSpec
 from .curves import Curve, curves_to_text
 from .errors import DomainError, LogndivError
 from .presets import (PRESET_NAMES, _y_grid, asymptotic_curve, er_grid_from, figure_curves,
-                      grid_size, sim_config, simulated_curves, sumcdf_curve)
+                      grid_size, simulated_curves, sumcdf_curve)
 from .schemes import SchemeKind
 from .verify_suites import SUITES, run_suites
 
@@ -120,10 +120,10 @@ def _cmd_outage(args) -> int:
     if args.cmd == "asymptotic":
         curves = [asymptotic_curve(spec, scheme, args.gamma_th, grid)]
     else:
-        cfg = sim_config(args.samples, _seed(args.seed), args.batch_size)
+        from .montecarlo import SimConfig
+        cfg = SimConfig(args.samples, _seed(args.seed))
         curves = simulated_curves(spec, [scheme], args.gamma_th, grid, cfg)
-        meta.update(samples=str(cfg.samples), seed=str(cfg.seed),
-                    batch_size=str(cfg.batch_size))
+        meta.update(samples=str(cfg.samples), seed=str(cfg.seed))
     _emit(curves, meta, args.out, args.format)
     return 0
 
@@ -157,8 +157,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     seed = DEFAULT_SEED if args.samples is None else _seed(args.seed)
-    meta, curves = figure_curves(args.preset, samples=args.samples, seed=seed,
-                                 batch_size=args.batch_size)
+    meta, curves = figure_curves(args.preset, samples=args.samples, seed=seed)
     _emit(curves, meta, args.out, args.format)
     return 0
 
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10_000_000)
     sp.add_argument("--seed", type=int, default=None,
                     help="simulation seed (default: LOGNDIV_SEED, else 1)")
-    sp.add_argument("--batch-size", type=int, default=1_000_000)
     add_output_flags(sp)
     sp.set_defaults(func=_cmd_outage)
 
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add simulated curves with this many trials per point")
     sp.add_argument("--seed", type=int, default=None,
                     help="simulation seed (default: LOGNDIV_SEED, else 1)")
-    sp.add_argument("--batch-size", type=int, default=1_000_000)
     add_output_flags(sp)
     sp.set_defaults(func=_cmd_figure)
 

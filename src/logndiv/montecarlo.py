@@ -5,13 +5,14 @@ package is that simulation stops being feasible once outage drops below
 ~100/samples, and these estimators document that floor rather than fight it
 with variance reduction.
 
-Determinism contract: identical (seed, samples, batch_size) give identical
-hit counts however batches are scheduled: batch i draws an (L, batch) block
-of exponents, row l for branch l, from a substream derived only from
-(seed, i), and counts reduce by addition. A sweep draws one
-stream at its first power and counts every point and scheme from it, since a
-power change scales every combiner's SNR alike; its errors are therefore
-correlated along the curve. `presets` turns counts into curves.
+Determinism contract: identical (seed, samples) give identical hit counts
+for a channel however batches are scheduled: batch i draws an (L, batch)
+block of exponents, row l for branch l, from a substream derived only from
+(seed, i), the channel module alone sizes the batches, and counts reduce by
+addition. A sweep draws one stream at its first power and counts every
+point and scheme from it, since a power change scales every combiner's SNR
+alike; its errors are therefore correlated along the curve. `presets` turns
+counts into curves.
 """
 
 from __future__ import annotations
@@ -30,17 +31,14 @@ from .schemes import SchemeKind, combiner_snr
 
 @dataclass(frozen=True)
 class SimConfig:
+    """What fixes a simulated count: the sample count and the seed."""
+
     samples: int
     seed: int
-    batch_size: Optional[int] = None   # default: min(10^6, samples)
 
     def __post_init__(self):
         if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1000):
             raise DomainError(f"samples must be an integer >= 1000, got {self.samples!r}")
-        if self.batch_size is None:
-            object.__setattr__(self, "batch_size", min(1_000_000, self.samples))
-        if not (isinstance(self.batch_size, (int, np.integer)) and 1 <= self.batch_size <= self.samples):
-            raise DomainError("need samples >= batch_size >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def sweep(params: DerivedParams, schemes: Sequence[SchemeKind], gamma_th: float,
         return {s: [] for s in schemes}
     cuts = [gamma_th * (er_grid[0] / OutageQuery(gamma_th, er).er) for er in er_grid]
     hits = {s: [0] * len(cuts) for s in schemes}   # a scheme listed twice is counted once
-    draws = iter_latent_batches(params.with_er(er_grid[0]), cfg.samples, cfg.seed, cfg.batch_size)
+    draws = iter_latent_batches(params.with_er(er_grid[0]), cfg.samples, cfg.seed)
     for latent in draws:
         gains = np.exp(latent)
         for s, h in hits.items():

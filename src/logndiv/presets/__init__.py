@@ -94,12 +94,6 @@ def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
                  L=spec.L, rho=spec.rho, sigma_G=spec.sigma_G, gamma_th=gamma_th, points=pts)
 
 
-def sim_config(samples: int, seed: int, batch_size: int) -> SimConfig:
-    """Simulation settings of a command: the batch is clamped to the sample count."""
-    from ..montecarlo import SimConfig
-    return SimConfig(samples, seed, min(batch_size, samples))
-
-
 def simulated_curves(spec: ChannelSpec, schemes: list[SchemeKind], gamma_th: float,
                      er_grid: list[float], cfg: SimConfig, tag: str = "") -> list[Curve]:
     """Monte Carlo curves '<scheme><tag>-sim' of several schemes on one channel,
@@ -150,8 +144,8 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
                  L=L, rho=rho, sigma_G=sigma_G, gamma_th=None, points=tuple(pts), x_kind="y")
 
 
-def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
-                  batch_size: int = 1_000_000) -> tuple[dict, list[Curve]]:
+def figure_curves(name: str, samples: Optional[int] = None,
+                  seed: int = 1) -> tuple[dict, list[Curve]]:
     """Build all curves of a preset. For outage presets, `samples` adds
     simulated curves next to the closed forms; sum-CDF presets have none, so
     asking them for samples is a domain error."""
@@ -162,7 +156,10 @@ def figure_curves(name: str, samples: Optional[int] = None, seed: int = 1,
         gamma_th = float(preset["gamma_th"])
         er_grid = er_grid_from(preset["er_db"])
         schemes = [SchemeKind.parse(s) for s in preset["schemes"]]
-        cfg = None if samples is None else sim_config(samples, seed, batch_size)
+        cfg = None
+        if samples is not None:
+            from ..montecarlo import SimConfig
+            cfg = SimConfig(samples, seed)
         meta["gamma_th"] = f"{gamma_th:g}"
         for ch in preset["channels"]:
             spec = ChannelSpec(L=int(ch["L"]), rho=float(ch["rho"]),

@@ -156,21 +156,23 @@ class TestSampling:
         g = np.concatenate(list(iter_latent_batches(p, 1000, seed=2)))
         assert np.allclose(g, g[:, [0]])
 
-    def test_rho0_batch_is_a_direct_draw(self):
+    def test_rho0_batch_is_a_direct_draw(self, monkeypatch):
         # At w = 0 the mix is skipped: one batch is the plain N(mu_G, sigma_G)
         # draw of an (L, batch) block, row l branch l, seen as (batch, L).
+        monkeypatch.setattr(channel, "BATCH_ROWS", 2000)
         p = derive_params(ChannelSpec(L=3, rho=0.0, sigma_G=0.8, mu_G=0.3))
-        batches = list(iter_latent_batches(p, 5000, seed=17, batch_size=2000))
+        batches = list(iter_latent_batches(p, 5000, seed=17))
         expected = batch_rng(17, 1).normal(0.3, 0.8, (3, 2000)).T
         assert np.array_equal(batches[1], expected)
 
-    def test_mixed_batch_is_a_mix_of_branch_rows(self):
+    def test_mixed_batch_is_a_mix_of_branch_rows(self, monkeypatch):
         # At w > 0 the (L, batch) draw X of N(mu', sd') becomes
         # G = (1 - w) X + w sum_l X_l, still one contiguous row per branch.
+        monkeypatch.setattr(channel, "BATCH_ROWS", 2000)
         p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=0.8, mu_G=0.3))
         w = p.w
         mu, sd = 0.3 / (1.0 + 2 * w), 0.8 / math.sqrt(1.0 + 2 * w * w)
-        batches = list(iter_latent_batches(p, 5000, seed=17, batch_size=2000))
+        batches = list(iter_latent_batches(p, 5000, seed=17))
         x = batch_rng(17, 1).normal(mu, sd, (3, 2000)).T
         assert batches[1].shape == (2000, 3) and batches[1].flags.f_contiguous
         assert np.array_equal(batches[1], (1.0 - w) * x + w * x.sum(axis=1, keepdims=True))
@@ -187,19 +189,27 @@ class TestSampling:
             else:       # and 8 or more pairwise along a contiguous axis
                 np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
 
-    def test_bit_exact_reproducibility(self):
+    def test_bit_exact_reproducibility(self, monkeypatch):
+        monkeypatch.setattr(channel, "BATCH_ROWS", 7000)
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, mu_G=0.0))
-        a = np.concatenate(list(iter_latent_batches(p, 30000, seed=123, batch_size=7000)))
-        b = np.concatenate(list(iter_latent_batches(p, 30000, seed=123, batch_size=7000)))
+        a = np.concatenate(list(iter_latent_batches(p, 30000, seed=123)))
+        b = np.concatenate(list(iter_latent_batches(p, 30000, seed=123)))
         assert np.array_equal(a, b)
 
-    def test_batching_is_by_index_not_schedule(self):
+    def test_batching_is_by_index_not_schedule(self, monkeypatch):
+        monkeypatch.setattr(channel, "BATCH_ROWS", 2500)
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, mu_G=0.0))
-        batches = list(iter_latent_batches(p, 10000, seed=9, batch_size=2500))
+        batches = list(iter_latent_batches(p, 10000, seed=9))
         assert [len(b) for b in batches] == [2500] * 4
         whole = np.concatenate(batches)
-        again = np.concatenate(list(iter_latent_batches(p, 10000, seed=9, batch_size=2500)))
+        again = np.concatenate(list(iter_latent_batches(p, 10000, seed=9)))
         assert np.array_equal(whole, again)
+
+    def test_wide_channel_batch_stays_within_the_value_cap(self, monkeypatch):
+        # min(BATCH_ROWS, MAX_BATCH_VALUES // L) rows: 6000 // 3 = 2000 here.
+        monkeypatch.setattr(channel, "MAX_BATCH_VALUES", 6000)
+        p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=0.8, mu_G=0.0))
+        assert [len(b) for b in iter_latent_batches(p, 5000, seed=9)] == [2000, 2000, 1000]
 
     def test_covariance_structure(self):
         rho, sg, L = 0.5, 0.8, 4
@@ -215,15 +225,11 @@ class TestSampling:
             np.concatenate(list(iter_latent_batches(p, 0, seed=1)))
 
     def test_oversized_batch_refused_before_drawing(self, monkeypatch):
-        # A batch of 1000 x 10^8 draws would need 800 GB: it must be refused
-        # before any stream is made, so a missing check fails here instead.
+        # One sample of 2^27 + 1 branches cannot be drawn whole in a batch: it
+        # must be refused before any stream is made, so a missing check fails here instead.
         def no_draw(*_):
             raise AssertionError("drew before checking the batch size")
         monkeypatch.setattr(channel, "batch_rng", no_draw)
-        p = derive_params(ChannelSpec(L=10 ** 8, rho=0.5, sigma_G=0.8, mu_G=0.0))
-        with pytest.raises(DomainError, match="--batch-size"):
+        p = derive_params(ChannelSpec(L=MAX_BATCH_VALUES + 1, rho=0.5, sigma_G=0.8, mu_G=0.0))
+        with pytest.raises(DomainError, match="branches"):
             next(iter_latent_batches(p, 1000, seed=1))
-        small = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, mu_G=0.0))
-        with pytest.raises(DomainError):
-            next(iter_latent_batches(small, MAX_BATCH_VALUES, seed=1,
-                                     batch_size=MAX_BATCH_VALUES // 2 + 1))

@@ -92,11 +92,10 @@ def test_config(fields, anchor, s, cmd):
         _exit_code(argv)
 
 
-# None leaves the flag out. Samples stay at most 1500 and batches at least 500
-# (or refused), so that every example runs in milliseconds.
+# None leaves the flag out. Samples stay at most 1500, so that every example
+# runs in milliseconds.
 FIGURE = {"preset": PRESET_NAMES + ("fig0",),
           "--samples": (None, "-1", "0", "999", "1000", "1500"),
-          "--batch-size": ("-1", "0", "500", str(10 ** 12)),
           "--seed": ("-1", "0", str(2 ** 64), str(2 ** 80)),
           "--format": ("csv", "obj", "tsv")}
 

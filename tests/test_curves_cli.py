@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -5,7 +6,7 @@ import re
 import pytest
 
 from logndiv import channel, montecarlo
-from logndiv.cli import main
+from logndiv.cli import build_parser, main
 from logndiv.curves import Curve, CurvePoint, curves_to_text, read_curves
 from logndiv.errors import DomainError
 from logndiv.presets import figure_curves
@@ -272,15 +273,15 @@ def test_bad_env_seed_is_ignored_where_no_seed_is_read(argv, tmp_path, monkeypat
 
 
 def test_oversized_simulation_batch_is_domain_error(monkeypatch, capsys):
-    # 1000 rows x 10^8 branches would be an 800 GB draw; it must be refused before drawing.
+    # One row of 2^27 + 1 branches passes the 1 GiB batch; it must be refused before drawing.
     def no_draw(*_):
         raise AssertionError("drew before checking the batch size")
     monkeypatch.setattr(channel, "batch_rng", no_draw)
-    argv = ["simulate", "--L", "100000000", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th",
-            "0.1", "--scheme", "sc", "--er-db", "0:0:1", "--samples", "1000"]
+    argv = ["simulate", "--L", str(2 ** 27 + 1), "--rho", "0.5", "--sigma-g", "0.8",
+            "--gamma-th", "0.1", "--scheme", "sc", "--er-db", "0:0:1", "--samples", "1000"]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--batch-size" in err
+    assert err.startswith("error: ") and "branches" in err
 
 
 def _points(path):
@@ -424,3 +425,31 @@ def test_simulate_matches_figure_stream(tmp_path):
     [one], _ = _points(sim)
     [match] = [c for c in _points(fig)[0] if c.label == "egc-L2-rho0.5-sg0.8-sim"]
     assert [(p.x, p.n, p.hits) for p in one.points] == [(p.x, p.n, p.hits) for p in match.points]
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    # A new option lands only with an edit here; the batch size is the channel's to pick.
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    channel_flags = ["--L", "--rho", "--sigma-g", "--config", "--gamma-th", "--scheme", "--er-db"]
+    output_flags = ["--out", "--format"]
+    expected = {
+        "asymptotic": channel_flags + output_flags,
+        "simulate": channel_flags + ["--samples", "--seed"] + output_flags,
+        "sumcdf": ["--L", "--rho", "--mu-g", "--sigma-g", "--y", "--y-spacing", "--method"]
+                  + output_flags,
+        "verify": ["--suite", "--out"],
+        "figure": ["preset", "--samples", "--seed"] + output_flags,
+    }
+    got = {name: [s for a in sp._actions if not isinstance(a, argparse._HelpAction)
+                  for s in (a.option_strings or [a.dest])]
+           for name, sp in sub.choices.items()}
+    assert got == expected
+    assert len(got["simulate"]) == 11 and len(got["figure"]) == 5
+
+
+def test_simulate_header_echoes_only_inputs(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(_SIMULATE + ["--out", str(out)]) == 0
+    meta, _ = read_curves(io.StringIO(out.read_text()))
+    assert sorted(meta) == sorted(["command", "gamma_th", "L", "rho", "samples", "scheme",
+                                   "seed", "sigma_G"])

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from logndiv import channel
 from logndiv.asymptotics import OutageQuery
 from logndiv.channel import ChannelSpec, derive_params
 from logndiv.errors import DomainError
@@ -20,16 +21,13 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(samples=100, seed=1)
-        with pytest.raises(DomainError):
-            SimConfig(samples=2000, seed=1, batch_size=4000)
-        with pytest.raises(DomainError):
-            SimConfig(samples=2000, seed=1, batch_size=0)
 
 class TestSimulateOutage:
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(channel, "BATCH_ROWS", 9_000)
         p = derive_params(ChannelSpec(L=2, rho=0.5, sigma_G=0.8, Er=10.0))
         q = OutageQuery(0.1, 10.0)
-        cfg = SimConfig(samples=50_000, seed=7, batch_size=9_000)
+        cfg = SimConfig(samples=50_000, seed=7)
         a = simulate_outage(p, SchemeKind.SC, q, cfg)
         b = simulate_outage(p, SchemeKind.SC, q, cfg)
         assert a == b
@@ -124,10 +122,11 @@ class TestSweep:
         for a, b in zip(pts, pts[1:]):
             assert b.outage <= a.outage + 3 * ((a.stderr or 0) + (b.stderr or 0))
 
-    def test_bit_identical_curves_across_runs(self):
+    def test_bit_identical_curves_across_runs(self, monkeypatch):
+        monkeypatch.setattr(channel, "BATCH_ROWS", 6_000)
         spec = ChannelSpec(L=2, rho=0.1, sigma_G=0.8, Er=1.0)
         grid = [1.0, 10.0, 100.0]
-        cfg = SimConfig(samples=20_000, seed=9, batch_size=6_000)
+        cfg = SimConfig(samples=20_000, seed=9)
         c1 = simulated_curves(spec, [SchemeKind.EGC], 0.1, grid, cfg)
         c2 = simulated_curves(spec, [SchemeKind.EGC], 0.1, grid, cfg)
         assert c1 == c2
@@ -138,12 +137,13 @@ class TestSweep:
         assert "resolution_exhausted" in c.points[0].note
         assert "p_upper_95" in c.points[0].note
 
-    def test_every_point_and_scheme_counted_from_one_stream(self):
+    def test_every_point_and_scheme_counted_from_one_stream(self, monkeypatch):
         # Point 0 is the one-point estimate at er_grid[0] with the same cfg,
         # the same whichever schemes are asked for.
+        monkeypatch.setattr(channel, "BATCH_ROWS", 2_000)
         p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
         grid = [1.0, 10.0, 100.0]
-        cfg = SimConfig(samples=5_000, seed=4, batch_size=2_000)
+        cfg = SimConfig(samples=5_000, seed=4)
         est = sweep(p, ALL, 0.1, grid, cfg)
         assert {s: est[s][0] for s in ALL} == simulate_outage_multi(p, ALL, OutageQuery(0.1, 1.0), cfg)
         for s in ALL:
@@ -151,15 +151,25 @@ class TestSweep:
             assert sweep(p, [s, s], 0.1, grid, cfg) == {s: est[s]}
         assert sweep(p, ALL, 0.1, [], cfg) == {s: [] for s in ALL}
 
-    def test_hits_never_rise_along_a_fine_grid(self):
+    def test_hits_never_rise_along_a_fine_grid(self, monkeypatch):
         # One stream serves the whole grid, so a higher power can only drop
         # draws from outage; independent streams per point would jitter.
+        monkeypatch.setattr(channel, "BATCH_ROWS", 2_000)
         p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
         grid = [1.0 + 1e-3 * i for i in range(6)]
-        est = sweep(p, ALL, 0.1, grid, SimConfig(samples=5_000, seed=4, batch_size=2_000))
+        est = sweep(p, ALL, 0.1, grid, SimConfig(samples=5_000, seed=4))
         for s in ALL:
             hits = [e.hits for e in est[s]]
             assert hits[0] > 0 and all(b <= a for a, b in zip(hits, hits[1:])), (s, hits)
+
+    def test_default_stream_across_a_batch_boundary(self):
+        # 1.5e6 samples span two batches of the default size (10^6 rows, then
+        # 5e5): these counts pin the default stream, batch boundary included.
+        p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
+        est = sweep(p, ALL, 0.1, [1.0, 10.0], SimConfig(1_500_000, 11))
+        assert {s: [e.hits for e in est[s]] for s in ALL} == {
+            SchemeKind.SC: [296330, 22127], SchemeKind.EGC: [226012, 11517],
+            SchemeKind.MRC: [190005, 8888]}
 
     def test_correlation_ordering_at_moderate_snr(self):
         # Stronger correlation hurts: simulated SC outage increases with rho
