@@ -428,7 +428,7 @@ def test_simulate_matches_figure_stream(tmp_path):
 
 
 def test_each_subcommand_takes_exactly_its_flags():
-    # A new option lands only with an edit here; the batch size is the channel's to pick.
+    # A new option lands only with an edit here.
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     channel_flags = ["--L", "--rho", "--sigma-g", "--config", "--gamma-th", "--scheme", "--er-db"]
     output_flags = ["--out", "--format"]
