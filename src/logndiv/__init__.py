@@ -5,7 +5,8 @@ verification of the supporting geometry.
 
 The public names below are imported on first access (PEP 562), so that
 `import logndiv` costs nothing and the closed forms never load the Monte
-Carlo and quadrature stacks (scipy) they do not use."""
+Carlo and quadrature modules they do not use. Only the optimiser checks of
+`verify` load scipy."""
 
 import importlib
 

@@ -31,7 +31,10 @@ from .errors import DomainError
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 # A sampling batch holds BATCH_ROWS rows of L draws, fewer where that would
-# pass MAX_BATCH_VALUES float64 values (1 GiB): every batch is drawn whole.
+# pass MAX_BATCH_VALUES float64 values: every batch is drawn whole. Such a
+# block is 1 GiB. montecarlo.sweep exponentiates it in place and frees it
+# before the next is drawn, and MRC squares it into a second block, so a
+# stream of full batches peaks near 1.1 GiB, or 2.1 GiB with MRC.
 BATCH_ROWS = 1_000_000
 MAX_BATCH_VALUES = 2 ** 27
 
@@ -252,3 +255,4 @@ def iter_latent_batches(params: DerivedParams, n: int, seed: int) -> Iterator[np
             g *= 1.0 - w
             g += mix
         yield g
+        del g   # the consumer's last batch can be freed before the next is drawn

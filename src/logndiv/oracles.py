@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
 
 from .asymptotics import single_branch_outage_exact
 from .channel import _U64
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
-from .special_fn import reg_gamma_upper_log
+from .special_fn import log_ndtr, log_ndtr_mills, reg_gamma_upper_log
 
 _LN_2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -54,7 +53,7 @@ def _sum2_log_integrand(g1: float, mu: float, sigma: float, rho: float, y: float
     sig_c = sigma * math.sqrt(1.0 - rho * rho)
     mu_c = mu + rho * (g1 - mu)
     lpdf = -0.5 * ((g1 - mu) / sigma) ** 2 - math.log(sigma) - 0.5 * _LN_2PI
-    return lpdf + float(log_ndtr((math.log(rem) - mu_c) / sig_c))
+    return lpdf + log_ndtr((math.log(rem) - mu_c) / sig_c)
 
 
 def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[float, float]:
@@ -73,23 +72,33 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
     c = ln_half_y - mu_G
     dc = 2.0 * _EPS * (abs(ln_half_y) + abs(c))   # two ulps per operation
 
-    def ln_f(t):
+    def arg(t):
         # ln cosh x = 0.5 ln(1 + sinh^2 x) keeps its x^2/2; past 350 it grows as x.
         x = np.minimum(s_d * t, 350.0)
-        a = (c - 0.5 * np.log1p(np.sinh(x) ** 2) - (s_d * t - x)) / s_s
-        return log_ndtr(a) - 0.5 * t * t, a
+        return (c - 0.5 * np.log1p(np.sinh(x) ** 2) - (s_d * t - x)) / s_s
 
-    peak = float(log_ndtr(c / s_s))
+    def ln_f(t):
+        ln_phi, mills = log_ndtr_mills(arg(t))
+        return ln_phi - 0.5 * t * t, mills
+
+    peak = log_ndtr(c / s_s)
     if peak == -math.inf:
         return -math.inf, 0.0
     b = 11.0   # phi alone has fallen 60.5 nats here
-    while peak - ln_f(0.5 * b)[0] >= 60.0:
+    while peak - (log_ndtr(float(arg(0.5 * b))) - 0.125 * b * b) >= 60.0:
         b *= 0.5
+    # Node i of the m-step rule is i (b/m), bit for bit the node of
+    # np.linspace(0, b, m + 1). The 8- to 64-step rules are strides of one
+    # 65-node grid, and each finer rule adds the midpoints of the last.
+    v, mills = ln_f(np.arange(65) * (b / 64))
+    v[[0, -1]] -= _LN_2
     m, ln_prev = 8, math.nan
     while True:
-        v, a = ln_f(np.linspace(0.0, b, m + 1))
-        v[[0, -1]] -= _LN_2
-        e = np.exp(v - v[0])
+        if m >= v.size:
+            v_mid, mills_mid = ln_f(np.arange(1, m, 2) * (b / m))
+            v, mills = _interleave(v, v_mid), _interleave(mills, mills_mid)
+        step = (v.size - 1) // m
+        e = np.exp(v[::step] - v[0])
         ln_p = v[0] + math.log(e.sum() * 2.0 * b / m) - 0.5 * _LN_2PI
         tol = 32.0 * _EPS * (1.0 + abs(ln_p))
         if abs(ln_p - ln_prev) <= tol:
@@ -98,10 +107,15 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
             raise IntegrationFailureError(f"sum2 CDF trapezoid rule did not settle at y={y}",
                                           math.exp(min(ln_p, 0.0)), math.inf)
         m, ln_prev = 2 * m, ln_p
-    # phi(a)/Phi(a) = sqrt(2/pi)/erfcx(-a/sqrt 2) does not cancel at any a.
-    mills = float(e @ (math.sqrt(2.0 / math.pi) / erfcx(-a / math.sqrt(2.0)))) / e.sum()
+    mills_mean = float(e @ mills[::step]) / e.sum()
     # Within the rule's rounding of 1 the value is 1; the node sum can land an ulp below.
-    return (0.0 if ln_p > -tol else ln_p), dc * mills / s_s
+    return (0.0 if ln_p > -tol else ln_p), dc * mills_mean / s_s
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    out = np.empty(even.size + odd.size)
+    out[::2], out[1::2] = even, odd
+    return out
 
 
 def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> float:
@@ -343,8 +357,8 @@ def lemma_ratio(probe: LemmaProbe) -> list[LemmaRatioPoint]:
 
         log_den = 0.0
         for x in probe.x0:
-            hi = float(log_ndtr((x + probe.eps - t) / probe.sigma))
-            lo = float(log_ndtr((x - probe.eps - t) / probe.sigma))
+            hi = log_ndtr((x + probe.eps - t) / probe.sigma)
+            lo = log_ndtr((x - probe.eps - t) / probe.sigma)
             log_den += hi + math.log1p(-math.exp(min(lo - hi, -1e-17)))
 
         log_ratio = log_num - log_den

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from logndiv import special_fn
 from logndiv.errors import SeriesCapError
 from logndiv.special_fn import reg_gamma_lower_log, reg_gamma_upper_log
 
@@ -65,3 +66,47 @@ def test_shapes_the_ncx2_window_seed_reaches_still_return_values(s):
         assert abs(math.exp(ln_p) + math.exp(ln_q) - 1.0) <= 1e-10
     p_mid = math.exp(reg_gamma_lower_log(s, s))
     assert abs(p_mid - 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * s))) <= 1e-6
+
+
+# Near x = s + 1 the continued fraction needs about 9 s^(1/3) steps, 1.9e6 at
+# s = 1e16: more than the cap, which its estimate sees before the first step.
+# Four ulps above s keeps x - s >= 1 where s + 1 rounds to s.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e16, 1e17, 1e18])
+@pytest.mark.parametrize("fn", [reg_gamma_lower_log, reg_gamma_upper_log])
+def test_continued_fraction_past_the_iteration_cap_is_refused_at_once(fn, s):
+    start = time.perf_counter()
+    with pytest.raises(SeriesCapError, match="continued fraction needs more than"):
+        fn(s, s + 4.0 * math.ulp(s))
+    assert time.perf_counter() - start < 0.05
+
+
+def test_continued_fraction_below_the_cap_still_returns_its_value():
+    # About 9e4 steps; the value is the one the loop gave before the estimate.
+    assert reg_gamma_upper_log(1e14, 1e14 + 1.0) == -0.6931472869445834
+
+
+@pytest.mark.parametrize("s", [1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("gap", ["1", "10", "sqrt(s)"])
+def test_continued_fraction_estimate_refuses_only_caps_the_loop_would_exhaust(
+        monkeypatch, s, gap):
+    # Find the smallest cap that the estimate lets through. With the cap there
+    # the loop itself runs out, so each cap the estimate refuses was too short.
+    x = s + (math.sqrt(s) if gap == "sqrt(s)" else float(gap))
+
+    def outcome(cap: int) -> str:
+        monkeypatch.setattr(special_fn, "_ITMAX", cap)
+        try:
+            reg_gamma_upper_log(s, x)
+        except SeriesCapError as exc:
+            return "refused" if "needs more than" in str(exc) else "ran out"
+        return "settled"
+
+    lo, hi = 1, 10 ** 6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if outcome(mid) == "refused":
+            lo = mid + 1
+        else:
+            hi = mid
+    assert outcome(lo) == "ran out"

@@ -1,16 +1,19 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from logndiv import channel
 from logndiv.asymptotics import OutageQuery
 from logndiv.channel import ChannelSpec, derive_params
 from logndiv.errors import DomainError
-from logndiv.montecarlo import (SimConfig, SimEstimate, point_seed, simulate_outage,
+from logndiv.montecarlo import (_Z975, SimConfig, SimEstimate, _binomial_cdf_root,
+                                _estimate_from_hits, point_seed, simulate_outage,
                                 simulate_outage_multi, sweep)
 from logndiv.oracles import sc_outage_exact_indep
 from logndiv.presets import simulated_curves
-from logndiv.schemes import SchemeKind
+from logndiv.schemes import SchemeKind, combiner_snr
 
 ALL = [SchemeKind.SC, SchemeKind.EGC, SchemeKind.MRC]
 
@@ -109,9 +112,60 @@ class TestSimulateOutage:
         lo, hi = est.ci95
         assert 0.0 <= lo < est.p_hat < hi < 1.0
 
+    @pytest.mark.parametrize("n", [31, 50, 20_000, 10 ** 6, 10 ** 9])
+    def test_clopper_pearson_ends_match_independent_inverses(self, n):
+        # scipy's betaincinv is the reference, except for the upper end from
+        # n = 1e6, where it is itself off by up to 9e-9 (1e-11 at 1e6) against
+        # the 40-digit root of the binomial CDF, which serves there instead.
+        from scipy.special import betaincinv
+
+        for hits in range(1, 30):
+            lo, hi = _estimate_from_hits(hits, n).ci95
+            assert lo == pytest.approx(betaincinv(hits, n - hits + 1, 0.025), rel=1e-12, abs=0.0)
+            ref_hi = betaincinv(hits + 1, n - hits, 0.975)
+            if n >= 10 ** 6:
+                ref_hi = _binomial_cdf_root_40_digits(hits, n, 0.025, ref_hi)
+            assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("z", [-3.0, 8.0, 1e5])
+    def test_interval_solver_recovers_from_a_poor_start(self, z):
+        # z sets only the start. At z = 1e5 it lies near p = 0.9, where the
+        # binomial sum overflows at n = 1e12; the bracket still leads to the end.
+        n = 10 ** 12
+        ratios = [(n - j) / (j + 1) for j in range(29)]
+        ref = _binomial_cdf_root(n, ratios, 0.025, _Z975)
+        assert _binomial_cdf_root(n, ratios, 0.025, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1_000, 10 ** 6, 10 ** 9])
+    def test_zero_hit_upper_end_is_exact(self, n):
+        # (1 - p)^n = 0.025; 1 - 0.025^(1/n) would lose 8 digits at n = 1e9.
+        with mp.workdps(40):
+            ref = float(1 - mp.mpf("0.025") ** (mp.mpf(1) / n))
+        assert _estimate_from_hits(0, n).ci95 == (0.0, pytest.approx(ref, rel=1e-14, abs=0.0))
+
+    def test_clopper_pearson_when_every_draw_hits(self):
+        from scipy.special import betaincinv
+
+        for n in (1, 5, 29):
+            lo, hi = _estimate_from_hits(n, n).ci95
+            assert hi == 1.0
+            assert lo == pytest.approx(betaincinv(n, 1, 0.025), rel=1e-12, abs=0.0)
+
     def test_stderr_consistency(self):
         est = SimEstimate(p_hat=0.25, stderr=math.sqrt(0.25 * 0.75 / 1000), n=1000, hits=250)
         assert est.stderr == pytest.approx(math.sqrt(est.p_hat * (1 - est.p_hat) / est.n))
+
+def _binomial_cdf_root_40_digits(k: int, n: int, alpha: float, near: float) -> float:
+    """The p with Pr{Bin(n, p) <= k} = alpha at 40 digits, bracketed within
+    1e-6 of `near`."""
+    with mp.workdps(40):
+        def excess(p):
+            return mp.fsum(mp.binomial(n, j) * p ** j * (1 - p) ** (n - j)
+                           for j in range(k + 1)) - alpha
+        near = mp.mpf(near)
+        return float(mp.findroot(excess, (near * (1 - mp.mpf(1e-6)), near * (1 + mp.mpf(1e-6))),
+                                 solver="anderson"))
+
 
 class TestSweep:
     def test_monotone_trend_up_to_noise(self):
@@ -170,6 +224,24 @@ class TestSweep:
         assert {s: [e.hits for e in est[s]] for s in ALL} == {
             SchemeKind.SC: [296330, 22127], SchemeKind.EGC: [226012, 11517],
             SchemeKind.MRC: [190005, 8888]}
+
+    def test_counts_match_counting_from_an_exponentiated_copy(self, monkeypatch):
+        # sweep exponentiates each batch in place; counting every scheme from
+        # a copy of the gains, as it once did, gives the same hits.
+        monkeypatch.setattr(channel, "BATCH_ROWS", 3_000)
+        p = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
+        grid = [1.0, 10.0, 100.0]
+        cfg = SimConfig(samples=10_000, seed=5)
+        ref = {s: [0] * len(grid) for s in ALL}
+        for latent in channel.iter_latent_batches(p.with_er(grid[0]), cfg.samples, cfg.seed):
+            gains = np.exp(latent)
+            for s in ALL:
+                snr = combiner_snr(s, gains)
+                for i, er in enumerate(grid):
+                    ref[s][i] += int(np.count_nonzero(snr < 0.1 * (grid[0] / er)))
+        est = sweep(p, ALL, 0.1, grid, cfg)
+        assert {s: [e.hits for e in est[s]] for s in ALL} == ref
+        assert all(h > 0 for h in ref[SchemeKind.MRC])
 
     def test_correlation_ordering_at_moderate_snr(self):
         # Stronger correlation hurts: simulated SC outage increases with rho

@@ -1,5 +1,5 @@
-"""Start-up cost: the package surface resolves lazily, and the closed-form
-commands run without loading scipy. scipy is already loaded in the test
+"""Start-up cost: the package surface resolves lazily, and only the verify
+suites that run an optimiser load scipy. scipy is already loaded in the test
 process, so the import checks run in a fresh interpreter."""
 
 import json
@@ -67,6 +67,23 @@ def test_quadrature_commands_load_neither_scipy_integrate_nor_optimize(tmp_path)
     out = _run_fresh(tmp_path, commands)
     assert out["codes"] == [0] * len(commands)
     assert [m for m in out["scipy"] if m.startswith(("scipy.integrate", "scipy.optimize"))] == []
+
+
+def test_quadrature_and_monte_carlo_commands_load_no_scipy(tmp_path):
+    # 2e4 samples leave fewer than 30 hits at 20 dB, so the Clopper-Pearson
+    # interval is solved too.
+    simulate = ["simulate", "--L", "2", "--rho", "0.5", "--sigma-g", "1", "--gamma-th", "0.1",
+                "--scheme", "egc", "--er-db", "0:20:10", "--samples", "20000"]
+    commands = [["figure", "fig7"], _SUMCDF + ["quadrature"], simulate,
+                ["figure", "fig4", "--samples", "1000"],
+                *[["verify", "--suite", s] for s in ("lemma", "subset", "limits")]]
+    out = _run_fresh(tmp_path, commands)
+    assert out["codes"] == [0] * len(commands)
+    assert out["scipy"] == []
+
+
+def test_optimiser_suite_still_runs_from_a_fresh_process(tmp_path):
+    assert _run_fresh(tmp_path, [["verify", "--suite", "kkt"]])["codes"] == [0]
 
 
 def test_every_exported_name_is_listed_by_dir():
