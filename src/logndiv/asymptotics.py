@@ -38,7 +38,7 @@ from .channel import ChannelSpec, DerivedParams, log_det_mixing, mixing_weight, 
 from .errors import (_LN_FLOAT_MAX, BelowAsymptoticRegimeError, DegenerateGeometryError,
                      DomainError)
 from .schemes import SchemeKind
-from .special_fn import gaussian_q, marcum_q_complement_log
+from .special_fn import gaussian_q, noncentral_chi2_cdf_log
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LG_E = math.log10(math.e)
@@ -148,40 +148,32 @@ def _ncx2_arms(L: int, w: float, sigma_g: float, z: float,
     return k * (z / s + h), k * h, -h * s
 
 
-def _combiner_ln(L: int, w: float, sigma_g: float, q: OutageQuery,
-                 c: float, name: str) -> float:
+def _combiner_ln(params: DerivedParams, q: OutageQuery, c: float, name: str) -> float:
+    L, sigma_g = params.L, params.sigma_G
     z = 0.5 * math.log(L * q.er / q.gamma_th) - sigma_g ** 2
-    first, second, z_edge = _ncx2_arms(L, w, sigma_g, z, c)
+    first, second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, z, c)
     if first <= 0.0:
         raise _below_regime(name, math.log(q.gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))
-    return marcum_q_complement_log(0.5 * L, first, second)
-
-
-def _egc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
-    return _combiner_ln(L, w, sigma_g, q, 1.0, "EGC")
-
-
-def _mrc_ln(L: int, w: float, sigma_g: float, q: OutageQuery) -> float:
-    return _combiner_ln(L, w, sigma_g, q, 0.5, "MRC")
+    return noncentral_chi2_cdf_log(L, first * first, second * second)
 
 
 def egc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     """High-SNR EGC outage: lower noncentral chi-squared tail of order L/2."""
-    return math.exp(_egc_ln(params.L, _weight(params), params.sigma_G, q))
+    return math.exp(_combiner_ln(params, q, 1.0, "EGC"))
 
 
 def egc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
-    return _egc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
+    return _combiner_ln(params, q, 1.0, "EGC") / _LN10
 
 
 def mrc_outage_asym(params: DerivedParams, q: OutageQuery) -> float:
     """High-SNR MRC outage: the EGC noncentral chi-squared tail with the
     offset h halved."""
-    return math.exp(_mrc_ln(params.L, _weight(params), params.sigma_G, q))
+    return math.exp(_combiner_ln(params, q, 0.5, "MRC"))
 
 
 def mrc_outage_asym_log10(params: DerivedParams, q: OutageQuery) -> float:
-    return _mrc_ln(params.L, _weight(params), params.sigma_G, q) / _LN10
+    return _combiner_ln(params, q, 0.5, "MRC") / _LN10
 
 
 def _sum_cdf_ln(L: int, rho: float, mu_G: float, sigma_G: float, y: float) -> float:
@@ -194,7 +186,7 @@ def _sum_cdf_ln(L: int, rho: float, mu_G: float, sigma_G: float, y: float) -> fl
         ln_max_y = math.log(L) + mu_G - z_edge
         raise BelowAsymptoticRegimeError(
             f"sum-CDF tail form is only valid left of ln y = {ln_max_y:.6g}", ln_max_y)
-    return marcum_q_complement_log(0.5 * L, first, second)
+    return noncentral_chi2_cdf_log(L, first * first, second * second)
 
 
 def sum_lognormal_cdf_asym(L: int, rho: float, mu_G: float, sigma_G: float,

@@ -33,8 +33,8 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # A sampling batch holds BATCH_ROWS rows of L draws, fewer where that would
 # pass MAX_BATCH_VALUES float64 values: every batch is drawn whole. Such a
 # block is 1 GiB. montecarlo.sweep exponentiates it in place and frees it
-# before the next is drawn, and MRC squares it into a second block, so a
-# stream of full batches peaks near 1.1 GiB, or 2.1 GiB with MRC.
+# before the next is drawn, and MRC squares it a few rows at a time, so a
+# stream of full batches peaks near 1.1 GiB with every scheme.
 BATCH_ROWS = 1_000_000
 MAX_BATCH_VALUES = 2 ** 27
 

@@ -11,14 +11,14 @@ block of exponents, row l for branch l, from a substream derived only from
 (seed, i), the channel module alone sizes the batches, and counts reduce by
 addition. A sweep draws one stream at its first power and counts every
 point and scheme from it, since a power change scales every combiner's SNR
-alike; its errors are therefore correlated along the curve. `presets` turns
-counts into curves.
+alike; its errors are therefore correlated along the curve. A point's
+estimate is its count, (samples, hits); its rate, standard error and
+interval are read from that count, and `presets` turns counts into curves.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,96 +44,69 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Binomial outage estimate.
+    """Binomial outage count: hits of n draws fell below the threshold.
+    Every other value is derived from the count when it is read.
 
     stderr is the normal-approximation binomial standard error. With fewer
-    than 30 hits the estimate additionally carries a Clopper-Pearson 95%
-    interval (Clopper & Pearson 1934, Biometrika 26): each end is the p at
-    which the exact binomial CDF, a sum of at most 30 terms, meets 0.975 or
-    0.025, solved here to within a few ulps. With zero hits it is flagged
-    resolution_exhausted and p_upper_95 holds the rule-of-three bound 3/n.
+    than 30 hits ci95 is the Clopper-Pearson 95% interval (Clopper & Pearson
+    1934, Biometrika 26), whose ends are the p at which the exact binomial
+    CDF meets 0.975 and 0.025, solved on each read; with 30 or more it is
+    None. With zero hits the estimate is resolution_exhausted, and
+    p_upper_95 is the rule-of-three bound 3/n.
     """
 
-    p_hat: float
-    stderr: float
     n: int
     hits: int
-    resolution_exhausted: bool = False
-    p_upper_95: Optional[float] = None
-    ci95: Optional[tuple[float, float]] = None
+
+    @property
+    def p_hat(self) -> float:
+        return self.hits / self.n
+
+    @property
+    def stderr(self) -> float:
+        p = self.p_hat
+        return math.sqrt(p * (1.0 - p) / self.n)
+
+    @property
+    def resolution_exhausted(self) -> bool:
+        return self.hits == 0
+
+    @property
+    def p_upper_95(self) -> Optional[float]:
+        return 3.0 / self.n if self.hits == 0 else None
+
+    @property
+    def ci95(self) -> Optional[tuple[float, float]]:
+        k, n = self.hits, self.n
+        if k >= 30:
+            return None
+        return (_binomial_cdf_root(n, k - 1, 0.975) if k else 0.0,
+                _binomial_cdf_root(n, k, 0.025) if k < n else 1.0)
 
 
-# The 0.975 quantile of N(0, 1).
-_Z975 = 1.959963984540054
+def _binomial_cdf_root(n: int, k: int, alpha: float) -> float:
+    """The p at which F(p) = Pr{Bin(n, p) <= k} = alpha, for 0 <= k < n, by
+    bisection until the bracket's ends are adjacent floats.
 
-
-def _binomial_cdf_root(n: int, ratios: list[float], alpha: float, z: float) -> float:
-    """The p at which Pr{Bin(n, p) <= k} = alpha, for k = len(ratios) < n,
-    where ratios[j] = C(n, j+1)/C(n, j) and z is the N(0, 1) quantile at
-    1 - alpha.
-
-    With s = p/(1 - p), F = (1 - p)^n sum_{j<=k} C(n, j) s^j, so F costs k
-    multiply-adds. F is a beta CDF in 1 - p, so ln F is concave and
-    decreasing in p, and d ln F/dp = -(n - k) C(n, k) s^k / ((1 - p) sum): one
-    binomial term over F. Halley's method on ln F - ln alpha starts from
-    Paulson's approximation of the beta quantile and keeps to the bracket
-    that the signs of its values build. A step cubes the error, so once one
-    is below 1e-6 of p the next would be below an ulp. At k = 0, F = (1 - p)^n
-    is solved in closed form."""
-    k = len(ratios)
-    if k == 0:
-        return -math.expm1(math.log(alpha) / n)
-    a, b, zz = k + 1.0, float(n - k), z * z
-    # Paulson: F(2a, 2b) from the Wilson-Hilferty cube roots of its chi-squares.
-    va, vb = 1.0 / (9.0 * a), 1.0 / (9.0 * b)
-    ma, mb = 1.0 - va, 1.0 - vb
-    y = ((ma * mb + math.copysign(math.sqrt(zz * (va * mb * mb + vb * ma * ma - zz * va * vb)), z))
-         / (mb * mb - zz * vb))
-    f = a * y ** 3
-    p = f / (b + f)
+    With s = p/(1 - p), ln F = n ln(1 - p) + ln sum_{j<=k} C(n, j) s^j, a sum
+    of k + 1 terms that falls with p. Where that sum overflows, F lies far
+    below alpha, so p is above the root."""
+    ratios = [(n - j) / (j + 1) for j in range(k)]   # C(n, j+1)/C(n, j)
     ln_alpha = math.log(alpha)
     lo, hi = 0.0, 1.0
-    for _ in range(200):   # bisection alone would settle well within this
-        q = 1.0 - p
-        s = p / q
+    while True:
+        p = 0.5 * (lo + hi)
+        if not lo < p < hi:
+            return p
+        s = p / (1.0 - p)
         term = total = 1.0
         for r in ratios:
             term *= r * s
             total += term
-        if total == math.inf:   # only far above the root, where F is tiny
-            hi = p
-            p = 0.5 * (lo + hi)
-            continue
-        g = n * math.log1p(-p) + math.log(total) - ln_alpha
-        if g > 0.0:
+        if total < math.inf and n * math.log1p(-p) + math.log(total) > ln_alpha:
             lo = p
-        elif g < 0.0:
+        else:
             hi = p
-        d1 = -b * term / (q * total)
-        d2 = d1 * (k / p - (b - 1.0) / q - d1)
-        step = g / (d1 - 0.5 * g * d2 / d1)
-        if abs(step) <= 1e-6 * p:
-            return p - step
-        p -= step
-        if not lo < p < hi:
-            p = 0.5 * (lo + hi)
-    return p
-
-
-def _estimate_from_hits(hits: int, n: int) -> SimEstimate:
-    p = hits / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    if hits == 0:
-        return SimEstimate(p_hat=0.0, stderr=0.0, n=n, hits=0,
-                           resolution_exhausted=True, p_upper_95=3.0 / n,
-                           ci95=(0.0, _binomial_cdf_root(n, [], 0.025, _Z975)))
-    ci = None
-    if hits < 30:
-        ratios = list(map(operator.truediv, range(n, n - hits, -1), range(1, hits + 1)))
-        lo = _binomial_cdf_root(n, ratios[:-1], 0.975, -_Z975)
-        hi = _binomial_cdf_root(n, ratios, 0.025, _Z975) if hits < n else 1.0
-        ci = (lo, hi)
-    return SimEstimate(p_hat=p, stderr=se, n=n, hits=hits, ci95=ci)
 
 
 def point_seed(seed: int, index: int) -> int:
@@ -158,7 +131,7 @@ def sweep(params: DerivedParams, schemes: Sequence[SchemeKind], gamma_th: float,
             for i, cut in enumerate(cuts):
                 h[i] += int(np.count_nonzero(snr < cut))
         del gains   # so that the next batch is not drawn beside this one
-    return {s: [_estimate_from_hits(n, cfg.samples) for n in h] for s, h in hits.items()}
+    return {s: [SimEstimate(cfg.samples, k) for k in h] for s, h in hits.items()}
 
 
 def simulate_outage_multi(params: DerivedParams, schemes: Sequence[SchemeKind],

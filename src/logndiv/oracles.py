@@ -5,8 +5,10 @@ approximations (tail-integral ratio decay, KKT minimizers, region inclusion,
 implicit-derivative matching).
 
 Nothing here shares formula code with the asymptotics module beyond the
-scalar special-function kernel, so agreement between the two is evidence,
-not tautology.
+scalar special-function kernel and the exact one-branch lognormal CDF
+(asymptotics.single_branch_outage_exact, from which the exact independent SC
+outage is built), so agreement with the approximations is evidence, not
+tautology.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ import numpy as np
 
 from .errors import DomainError
 
+# MRC squares its gains this many values at a time, so that it never holds a
+# second batch-sized array (8 MiB of float64).
+_SQUARE_VALUES = 2 ** 20
+
 
 class SchemeKind(str, Enum):
     SC = "sc"    # selection combining: best branch
@@ -35,5 +39,12 @@ def combiner_snr(scheme: SchemeKind, gains: np.ndarray) -> np.ndarray:
         s = gains.sum(axis=1)
         return s * s / gains.shape[1]
     if scheme is SchemeKind.MRC:
-        return (gains * gains).sum(axis=1)
+        # Parts of two rows or more: numpy sums a lone row in another order.
+        m = gains.shape[0]
+        parts = max(min(gains.size // _SQUARE_VALUES, m // 2), 1)
+        out = np.empty(m)
+        for i in range(parts):
+            a, b = i * m // parts, (i + 1) * m // parts
+            np.sum(gains[a:b] * gains[a:b], axis=1, out=out[a:b])
+        return out
     raise DomainError(f"unknown scheme {scheme!r}")

@@ -367,12 +367,5 @@ def marcum_q(args: MarcumArgs) -> float:
     if args.a == 0.0:
         # Central case on the upper-tail branch, which keeps small tails exact.
         return reg_gamma_upper(args.order, 0.5 * args.b * args.b)
-    return -math.expm1(min(marcum_q_complement_log(args.order, args.a, args.b), 0.0))
-
-
-def marcum_q_complement_log(order: float, a: float, b: float) -> float:
-    """ln(1 - Q_order(a, b)): the log lower tail of the associated
-    noncentral chi-squared law. Stable when the complement underflows,
-    which is the regime of high-SNR combining curves."""
-    MarcumArgs(order, a, b)  # validates the arguments
-    return noncentral_chi2_cdf_log(2.0 * order, a * a, b * b)
+    ln_p = noncentral_chi2_cdf_log(2.0 * args.order, args.a * args.a, args.b * args.b)
+    return -math.expm1(min(ln_p, 0.0))

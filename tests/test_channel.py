@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from logndiv import channel
+from logndiv import channel, schemes
 from logndiv.channel import (MAX_BATCH_VALUES, ChannelSpec, DerivedParams, a_from_rho, batch_rng,
                              derive_params, iter_latent_batches, log_det_mixing, mixing_weight,
                              rho_from_a)
@@ -188,6 +188,18 @@ class TestSampling:
                 assert np.array_equal(got, ref)
             else:       # and 8 or more pairwise along a contiguous axis
                 np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("L", [2, 3, 8, 20])
+    def test_mrc_squares_in_parts_as_one_array_would(self, monkeypatch, L):
+        # MRC squares a batch a few rows at a time, so that it holds no second
+        # batch; its sums are those of squaring the whole batch at once, down
+        # to parts of two rows (a lone row would be summed pairwise from L = 8).
+        p = derive_params(ChannelSpec(L=L, rho=0.5, sigma_G=1.0, mu_G=0.0))
+        gains = np.exp(next(iter_latent_batches(p, 3001, seed=5)))
+        ref = (gains * gains).sum(axis=1)
+        for values in (1, 7 * L, 2 ** 20):
+            monkeypatch.setattr(schemes, "_SQUARE_VALUES", values)
+            assert np.array_equal(combiner_snr(SchemeKind.MRC, gains), ref)
 
     def test_bit_exact_reproducibility(self, monkeypatch):
         monkeypatch.setattr(channel, "BATCH_ROWS", 7000)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -8,11 +9,11 @@ from logndiv import channel
 from logndiv.asymptotics import OutageQuery
 from logndiv.channel import ChannelSpec, derive_params
 from logndiv.errors import DomainError
-from logndiv.montecarlo import (_Z975, SimConfig, SimEstimate, _binomial_cdf_root,
-                                _estimate_from_hits, point_seed, simulate_outage,
+from logndiv import montecarlo
+from logndiv.montecarlo import (SimConfig, SimEstimate, point_seed, simulate_outage,
                                 simulate_outage_multi, sweep)
 from logndiv.oracles import sc_outage_exact_indep
-from logndiv.presets import simulated_curves
+from logndiv.presets import figure_curves, simulated_curves
 from logndiv.schemes import SchemeKind, combiner_snr
 
 ALL = [SchemeKind.SC, SchemeKind.EGC, SchemeKind.MRC]
@@ -112,48 +113,56 @@ class TestSimulateOutage:
         lo, hi = est.ci95
         assert 0.0 <= lo < est.p_hat < hi < 1.0
 
-    @pytest.mark.parametrize("n", [31, 50, 20_000, 10 ** 6, 10 ** 9])
+    @pytest.mark.parametrize("n", [31, 50, 20_000, 10 ** 6, 10 ** 9, 10 ** 12])
     def test_clopper_pearson_ends_match_independent_inverses(self, n):
         # scipy's betaincinv is the reference, except for the upper end from
         # n = 1e6, where it is itself off by up to 9e-9 (1e-11 at 1e6) against
         # the 40-digit root of the binomial CDF, which serves there instead.
+        # At n = 1e12 the binomial sum overflows across most of [0, 1], which
+        # the bisection must read as lying above the root.
         from scipy.special import betaincinv
 
-        for hits in range(1, 30):
-            lo, hi = _estimate_from_hits(hits, n).ci95
+        for hits in (range(1, 30) if n < 10 ** 12 else [1, 29]):
+            lo, hi = SimEstimate(n, hits).ci95
             assert lo == pytest.approx(betaincinv(hits, n - hits + 1, 0.025), rel=1e-12, abs=0.0)
             ref_hi = betaincinv(hits + 1, n - hits, 0.975)
             if n >= 10 ** 6:
                 ref_hi = _binomial_cdf_root_40_digits(hits, n, 0.025, ref_hi)
             assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("z", [-3.0, 8.0, 1e5])
-    def test_interval_solver_recovers_from_a_poor_start(self, z):
-        # z sets only the start. At z = 1e5 it lies near p = 0.9, where the
-        # binomial sum overflows at n = 1e12; the bracket still leads to the end.
-        n = 10 ** 12
-        ratios = [(n - j) / (j + 1) for j in range(29)]
-        ref = _binomial_cdf_root(n, ratios, 0.025, _Z975)
-        assert _binomial_cdf_root(n, ratios, 0.025, z) == pytest.approx(ref, rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("n", [1_000, 10 ** 6, 10 ** 9])
+    @pytest.mark.parametrize("n", [1_000, 10 ** 6, 10 ** 9, 10 ** 12])
     def test_zero_hit_upper_end_is_exact(self, n):
         # (1 - p)^n = 0.025; 1 - 0.025^(1/n) would lose 8 digits at n = 1e9.
         with mp.workdps(40):
             ref = float(1 - mp.mpf("0.025") ** (mp.mpf(1) / n))
-        assert _estimate_from_hits(0, n).ci95 == (0.0, pytest.approx(ref, rel=1e-14, abs=0.0))
+        assert SimEstimate(n, 0).ci95 == (0.0, pytest.approx(ref, rel=1e-14, abs=0.0))
 
     def test_clopper_pearson_when_every_draw_hits(self):
         from scipy.special import betaincinv
 
         for n in (1, 5, 29):
-            lo, hi = _estimate_from_hits(n, n).ci95
+            lo, hi = SimEstimate(n, n).ci95
             assert hi == 1.0
             assert lo == pytest.approx(betaincinv(n, 1, 0.025), rel=1e-12, abs=0.0)
 
     def test_stderr_consistency(self):
-        est = SimEstimate(p_hat=0.25, stderr=math.sqrt(0.25 * 0.75 / 1000), n=1000, hits=250)
+        est = SimEstimate(n=1000, hits=250)
         assert est.stderr == pytest.approx(math.sqrt(est.p_hat * (1 - est.p_hat) / est.n))
+
+    def test_an_estimate_is_its_count(self):
+        assert [f.name for f in dataclasses.fields(SimEstimate)] == ["n", "hits"]
+        est = SimEstimate(n=1000, hits=250)
+        assert est.p_hat == 0.25 and not est.resolution_exhausted and est.p_upper_95 is None
+        assert SimEstimate(20_000, 29).ci95 is not None and SimEstimate(20_000, 30).ci95 is None
+
+    def test_curves_never_solve_an_interval(self, monkeypatch):
+        # fig4 at 2e4 samples has points with 1-29 hits; no curve reads ci95.
+        def refuse(*args):
+            raise AssertionError("interval solved")
+        monkeypatch.setattr(montecarlo, "_binomial_cdf_root", refuse)
+        _, curves = figure_curves("fig4", samples=20_000)
+        hits = [p.hits for c in curves for p in c.points if p.hits is not None]
+        assert any(0 < h < 30 for h in hits)
 
 def _binomial_cdf_root_40_digits(k: int, n: int, alpha: float, near: float) -> float:
     """The p with Pr{Bin(n, p) <= k} = alpha at 40 digits, bracketed within
