@@ -5,11 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from logndiv import channel
+from logndiv import channel, montecarlo
 from logndiv.asymptotics import OutageQuery
 from logndiv.channel import ChannelSpec, derive_params
 from logndiv.errors import DomainError
-from logndiv import montecarlo
 from logndiv.montecarlo import (SimConfig, SimEstimate, point_seed, simulate_outage,
                                 simulate_outage_multi, sweep)
 from logndiv.oracles import sc_outage_exact_indep

@@ -7,10 +7,8 @@ from scipy import integrate, stats
 
 from logndiv.errors import DomainError, SeriesCapError
 from logndiv.special_fn import (MarcumArgs, gaussian_q, gaussian_q_asym, marcum_q,
-                                noncentral_chi2_cdf,
-                                noncentral_chi2_cdf_log, reg_gamma_lower,
-                                reg_gamma_lower_log, reg_gamma_upper,
-                                reg_gamma_upper_log)
+                                noncentral_chi2_cdf, noncentral_chi2_cdf_log, reg_gamma_lower,
+                                reg_gamma_lower_log, reg_gamma_upper, reg_gamma_upper_log)
 
 
 class TestGaussianQ:
