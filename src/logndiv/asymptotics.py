@@ -23,6 +23,14 @@ Conventions shared by every function here:
     BelowAsymptoticRegimeError is raised carrying the log of the smallest
     valid Er, so grid sweeps can annotate pre-asymptotic points instead of
     dropping them, even where that Er overflows a float.
+  * The private curve form of EGC and MRC (_outage_curve, which presets
+    calls) takes a whole grid through the same arm map: all its points go
+    to the noncentral chi-squared row kernel in one call, and a point below
+    the regime gets the curve's one BelowAsymptoticRegimeError in place of
+    its value. Its values equal the per-point functions' bit for bit. The
+    per-point functions keep the one-point kernel, which is cheaper for a
+    single window, and sum-CDF curves still go point by point
+    (_sum_cdf_curve).
   * Fully correlated channels (a = 1) are rejected: the osculating
     geometry behind the EGC/MRC forms degenerates, and the SC coefficient
     divides by the vanishing mixing determinant. Identical branches should
@@ -33,12 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .channel import ChannelSpec, DerivedParams, log_det_mixing, mixing_weight, mu_g_from_er
 from .errors import (_LN_FLOAT_MAX, BelowAsymptoticRegimeError, DegenerateGeometryError,
                      DomainError)
 from .schemes import SchemeKind
-from .special_fn import gaussian_q, noncentral_chi2_cdf_log
+from .special_fn import _ncx2_cdf_log_rows, gaussian_q, noncentral_chi2_cdf_log
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LG_E = math.log10(math.e)
@@ -136,22 +145,37 @@ def sc_outage_asym_latent(a: float, L: int, mu_X: float, sigma_X: float,
     return math.exp(ln_p)
 
 
-def _ncx2_arms(L: int, w: float, sigma_g: float, z: float,
-               c: float) -> tuple[float, float, float]:
-    """Noncentral chi-squared arms k(z/s + h) and k*h shared by EGC (c = 1),
-    MRC (c = 1/2) and the sum-CDF (EGC at z = ln L + mu_G - ln y), with
-    k = sqrt(L*s2)/sigma_G and h = c*s/(1-w)^2. The third value is the
+def _ncx2_arms(L: int, w: float, sigma_g: float, zs, c: float) -> tuple[list, float, float]:
+    """Noncentral chi-squared arms k(z/s + h), one per z, and k*h, shared by
+    EGC (c = 1), MRC (c = 1/2) and the sum-CDF (EGC at z = ln L + mu_G - ln y),
+    with k = sqrt(L*s2)/sigma_G and h = c*s/(1-w)^2. The third value is the
     regime edge -h*s: the form is defined only for z above it."""
     s, s2 = 1.0 + (L - 1) * w, 1.0 + (L - 1) * w * w
     k = math.sqrt(L * s2) / sigma_g
     h = c * s / (1.0 - w) ** 2
-    return k * (z / s + h), k * h, -h * s
+    return [k * (z / s + h) for z in zs], k * h, -h * s
+
+
+def _combiner_curve_ln(params: DerivedParams, gamma_th: float, ers, c: float,
+                       name: str) -> list:
+    """ln P of EGC (c = 1) or MRC (c = 1/2) at each Er of a curve (watts),
+    every point in one call of the noncentral chi-squared row kernel, or,
+    at a point below the regime, the curve's one BelowAsymptoticRegimeError:
+    the bound does not depend on Er."""
+    L, sigma_g = params.L, params.sigma_G
+    zs = [0.5 * math.log(L * er / gamma_th) - sigma_g ** 2 for er in ers]
+    firsts, second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, zs, c)
+    lams = [a * a for a in firsts if not a <= 0.0]
+    lns = iter(_ncx2_cdf_log_rows(L, lams, [second * second] * len(lams)))
+    below = (_below_regime(name, math.log(gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))
+             if len(lams) < len(firsts) else None)
+    return [below if a <= 0.0 else next(lns) for a in firsts]
 
 
 def _combiner_ln(params: DerivedParams, q: OutageQuery, c: float, name: str) -> float:
     L, sigma_g = params.L, params.sigma_G
     z = 0.5 * math.log(L * q.er / q.gamma_th) - sigma_g ** 2
-    first, second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, z, c)
+    (first,), second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, (z,), c)
     if first <= 0.0:
         raise _below_regime(name, math.log(q.gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))
     return noncentral_chi2_cdf_log(L, first * first, second * second)
@@ -181,12 +205,21 @@ def _sum_cdf_ln(L: int, rho: float, mu_G: float, sigma_G: float, y: float) -> fl
         raise DomainError(f"sum-CDF argument y must be finite and > 0, got {y!r}")
     ChannelSpec(L=L, rho=rho, sigma_G=sigma_G, mu_G=mu_G)   # the channel's input checks
     w = mixing_weight(rho, L)
-    first, second, z_edge = _ncx2_arms(L, w, sigma_G, math.log(L) + mu_G - math.log(y), 1.0)
+    (first,), second, z_edge = _ncx2_arms(L, w, sigma_G, (math.log(L) + mu_G - math.log(y),), 1.0)
     if first <= 0.0:
         ln_max_y = math.log(L) + mu_G - z_edge
         raise BelowAsymptoticRegimeError(
             f"sum-CDF tail form is only valid left of ln y = {ln_max_y:.6g}", ln_max_y)
     return noncentral_chi2_cdf_log(L, first * first, second * second)
+
+
+def _sum_cdf_curve(L: int, rho: float, mu_G: float, sigma_G: float, ys) -> list:
+    """sum_lognormal_cdf_asym at each y of a curve, with the
+    BelowAsymptoticRegimeError of a y right of the tail region in its place.
+    Each point is its own call: perfbench's traced mode times the sum-CDF
+    form only through sum_lognormal_cdf_asym, and its workloads reach that
+    form only through this curve."""
+    return [_or_below(lambda: sum_lognormal_cdf_asym(L, rho, mu_G, sigma_G, y)) for y in ys]
 
 
 def sum_lognormal_cdf_asym(L: int, rho: float, mu_G: float, sigma_G: float,
@@ -257,3 +290,23 @@ def outage_asym(params: DerivedParams, scheme, q: OutageQuery) -> float:
     if scheme is SchemeKind.MRC:
         return mrc_outage_asym(params, q)
     raise DomainError(f"unknown scheme {scheme!r}")
+
+
+def _outage_curve(params: DerivedParams, scheme, gamma_th: float, ers) -> list:
+    """outage_asym at each Er of a curve (watts), with the
+    BelowAsymptoticRegimeError of a point below the regime in its place.
+    EGC and MRC take one kernel call for the whole curve."""
+    qs = [OutageQuery(gamma_th, er) for er in ers]   # every point's input checks
+    if params.L > 1 and scheme in (SchemeKind.EGC, SchemeKind.MRC):
+        c, name = (1.0, "EGC") if scheme is SchemeKind.EGC else (0.5, "MRC")
+        return [v if isinstance(v, BelowAsymptoticRegimeError) else math.exp(v)
+                for v in _combiner_curve_ln(params, gamma_th, ers, c, name)]
+    return [_or_below(lambda: outage_asym(params, scheme, q)) for q in qs]
+
+
+def _or_below(evaluate: Callable[[], float]):
+    """evaluate(), or the BelowAsymptoticRegimeError it raises."""
+    try:
+        return evaluate()
+    except BelowAsymptoticRegimeError as exc:
+        return exc

@@ -45,7 +45,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimEstimate:
     """Binomial outage count: hits of n draws fell below the threshold.
-    Every other value is derived from the count when it is read.
+    Every other value is derived from the count when it is read. A count
+    needs integers with n >= 1 and 0 <= hits <= n; any other pair is a
+    DomainError when it is built.
 
     stderr is the normal-approximation binomial standard error. With fewer
     than 30 hits ci95 is the Clopper-Pearson 95% interval (Clopper & Pearson
@@ -57,6 +59,14 @@ class SimEstimate:
 
     n: int
     hits: int
+
+    def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.n, self.hits)):
+            raise DomainError(f"a count needs integer n and hits, got ({self.n!r}, {self.hits!r})")
+        if not 0 <= self.hits <= self.n or self.n < 1:
+            raise DomainError(f"a count needs n >= 1 and 0 <= hits <= n, "
+                              f"got ({self.n!r}, {self.hits!r})")
 
     @property
     def p_hat(self) -> float:

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
 from importlib import resources
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..asymptotics import OutageQuery, outage_asym, sum_lognormal_cdf_asym
+from ..asymptotics import _outage_curve, _sum_cdf_curve
 from ..baselines import fenton_wilkinson_cdf
 from ..channel import ChannelSpec, derive_params
 from ..curves import Curve, CurvePoint
@@ -54,15 +53,13 @@ def er_grid_from(cfg: dict) -> list[float]:
         raise DomainError(f"grid {cfg!r} reaches past the largest float in watts") from None
 
 
-def _closed_form_point(x: float, evaluate: Callable[[], float],
-                       below_note: Callable[[BelowAsymptoticRegimeError], str]) -> CurvePoint:
-    """One closed-form point. Below the validity region (note from
-    below_note) or where the raw approximation exceeds 1 the point is
-    annotated, not dropped."""
-    try:
-        value = evaluate()
-    except BelowAsymptoticRegimeError as exc:
-        return CurvePoint(x=x, outage=None, note=below_note(exc))
+def _closed_form_point(x: float, value, below_note: Callable[[BelowAsymptoticRegimeError], str]
+                       ) -> CurvePoint:
+    """One closed-form point from its value, or from the error of a point
+    below the validity region (note from below_note). Such a point, and one
+    where the raw approximation exceeds 1, is annotated, not dropped."""
+    if isinstance(value, BelowAsymptoticRegimeError):
+        return CurvePoint(x=x, outage=None, note=below_note(value))
     if value > 1.0:
         return CurvePoint(x=x, outage=None, note=f"above_unity;raw={value:.6e}")
     return CurvePoint(x=x, outage=value)
@@ -84,11 +81,9 @@ def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
                      er_grid: list[float], label: Optional[str] = None) -> Curve:
     """Closed-form curve over an Er grid. At L = 1 every scheme is the exact
     lognormal CDF, so that curve's source is 'exact'."""
-    params = derive_params(spec)
-    pts = tuple(_closed_form_point(10.0 * math.log10(er),
-                                   partial(outage_asym, params, scheme, OutageQuery(gamma_th, er)),
-                                   _below_er)
-                for er in er_grid)
+    values = _outage_curve(derive_params(spec), scheme, gamma_th, er_grid)
+    pts = tuple(_closed_form_point(10.0 * math.log10(er), v, _below_er)
+                for er, v in zip(er_grid, values))
     return Curve(label=label or f"{scheme.value}-asym-L{spec.L}-rho{spec.rho:g}",
                  scheme=scheme.value, source="exact" if spec.L == 1 else "asymptotic",
                  L=spec.L, rho=spec.rho, sigma_G=spec.sigma_G, gamma_th=gamma_th, points=pts)
@@ -126,20 +121,18 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
     sources = {"asym": "asymptotic", "fw": "baseline", "quadrature": "exact"}
     if method not in sources:
         raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")
-    if method == "quadrature":
+    if method == "asym":
+        values = _sum_cdf_curve(L, rho, mu_G, sigma_G, y_grid)
+        pts = [_closed_form_point(y, v, lambda exc: "beyond_tail_region")
+               for y, v in zip(y_grid, values)]
+    elif method == "fw":
+        pts = [CurvePoint(x=y, outage=fenton_wilkinson_cdf(L, rho, mu_G, sigma_G, y))
+               for y in y_grid]
+    else:
         if L != 2:
             raise DomainError("quadrature sum-CDF is implemented for L = 2 only")
         from ..oracles import sum2_cdf_quadrature
-    pts = []
-    for y in y_grid:
-        if method == "asym":
-            pts.append(_closed_form_point(
-                y, partial(sum_lognormal_cdf_asym, L, rho, mu_G, sigma_G, y),
-                lambda exc: "beyond_tail_region"))
-        elif method == "fw":
-            pts.append(CurvePoint(x=y, outage=fenton_wilkinson_cdf(L, rho, mu_G, sigma_G, y)))
-        else:
-            pts.append(CurvePoint(x=y, outage=sum2_cdf_quadrature(mu_G, sigma_G, rho, y)))
+        pts = [CurvePoint(x=y, outage=sum2_cdf_quadrature(mu_G, sigma_G, rho, y)) for y in y_grid]
     return Curve(label=label or f"sumcdf-{method}", scheme="egc", source=sources[method],
                  L=L, rho=rho, sigma_G=sigma_G, gamma_th=None, points=tuple(pts), x_kind="y")
 

@@ -3,18 +3,26 @@ package: Gaussian tail Q and log-CDF, regularized incomplete gamma, and the
 generalized Marcum-Q function evaluated through the noncentral chi-squared
 series.
 
-All functions are pure, deterministic, and safe to call concurrently. They
-return plain floats. Each probability has one evaluator, in log space. Its
-linear value is the exp (for Marcum-Q, -expm1) of that log clamped at 0, so
-every linear value lies in [0, 1]. The clamp binds only where the series for
-ln P(s, x) rounds a few ulps above 0, once s is below about 1e-14.
+All functions are pure, deterministic, and safe to call concurrently. The
+public ones return plain floats; the private row form of the noncentral
+chi-squared kernel returns a list of them, one per point. Each probability
+has one evaluator, in log space. Its linear value is the exp (for
+Marcum-Q, -expm1) of that log clamped at 0, so every linear value lies in
+[0, 1]. The clamp binds only where the series for ln P(s, x) rounds a few
+ulps above 0, once s is below about 1e-14.
 
 The noncentral chi-squared log-CDF sums the dual series of Ding (1992, Appl.
-Statist. 41, AS 275), whose summand is unimodal, over one numpy window
-around its peak. The window is widened until both of its ends lie 46 nats
-below the peak (or it starts at m = 0). A series whose summand rises for
-more than _NCX2_MAX_TERMS terms, or whose window would grow past that many,
-is refused. The incomplete-gamma series is refused before its first term
+Statist. 41, AS 275), whose summand is unimodal, over a window around its
+peak. One loop serves one point or a whole curve that shares the degrees of
+freedom: each point is a row with its own window, the rows are sorted by
+width and cut into blocks, and each block is one numpy pass that holds at
+most _NCX2_CHUNK terms, rows and columns together (a single row longer
+than that takes several). A row whose window does not yet end 46 nats below
+its peak at both sides (or start at m = 0) goes round again, widened; the
+others are summed over their own slices, so a value never depends on the
+other rows of its curve. A series whose summand rises for more than
+_NCX2_MAX_TERMS terms, or whose window would grow past that many, is
+refused. The incomplete-gamma series is refused before its first term
 where a lower bound on the terms it needs exceeds its iteration cap, and
 so is the continued fraction, where an estimate of the terms it needs does.
 
@@ -29,6 +37,7 @@ mpmath values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,10 +248,19 @@ def _log_poisson(n, mean):
     if not isinstance(n, np.ndarray):
         if n <= 15.0:
             return n * math.log(mean) - mean - math.lgamma(n + 1.0)
-        return float(_log_poisson(np.array([n]), mean)[0])
+        # The array form below, step for step on one value: numpy's log and
+        # log1p, and float arithmetic, which rounds as numpy's does.
+        d = n - mean
+        ratio = np.log(n) - np.log(mean)
+        if abs(d) < mean:
+            ratio = np.log1p(min(d, mean) / mean)
+        nn = 1.0 / n / n
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+        return float(-stirlerr - (n * ratio - d) - 0.5 * np.log(2.0 * math.pi * n))
     n, mean = np.asarray(n, dtype=float), np.asarray(mean, dtype=float)
     small = n <= 15.0
-    big = np.where(small, 16.0, n)   # entries at or below 15 are replaced below
+    any_small = small.any()
+    big = np.where(small, 16.0, n) if any_small else n   # entries at or below 15 are replaced below
     d = big - mean
     # ln(n / mean), by log1p only near the mean, where the quotient lies in (-1, 1).
     ratio = np.log(big) - np.log(mean)
@@ -252,7 +270,7 @@ def _log_poisson(n, mean):
     nn = 1.0 / big / big   # not 1 / (n n), which overflows for n above 1e154
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / big
     out = -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * big)
-    if small.any():
+    if any_small:
         out[small] = ((n * np.log(mean) - mean)[small]
                       - [math.lgamma(v + 1.0) for v in n[small].tolist()])
     return out
@@ -279,6 +297,114 @@ def _ncx2_log_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndarra
     return t
 
 
+def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
+    """_ncx2_log_terms for a block of windows given as equal-length
+    sequences: one row each, padded with -inf past the row's own m1, with
+    the same terms, rounded the same way. A pass holds at most _NCX2_CHUNK
+    terms, rows and columns together, so a row longer than that is built in
+    chunks of columns that carry ln C across."""
+    rows = len(m0)
+    t = np.empty((rows, max(map(operator.sub, m1, m0))))
+    # Rows 0..rows-1: the Poisson(h) terms at m; the rest: the gamma density at s + m.
+    first, mean = np.array(((*m0, *m0), (*h, *y)), dtype=float)[:, :, None]
+    step = max(_NCX2_CHUNK // rows, 1)
+    ln_c = None   # ln C of each row at the end of the last chunk
+    for a in range(0, t.shape[1], step):
+        m = first + np.arange(a, min(a + step, t.shape[1]), dtype=float)
+        m[rows:] += s
+        terms = _log_poisson(m, mean)
+        ln_p, ln_d = terms[:rows], terms[rows:]
+        if ln_c is not None:
+            ln_p[:, 0] = np.logaddexp(ln_c, ln_p[:, 0])
+        else:
+            for i, m_first in enumerate(m0):
+                if m_first > 0:
+                    ln_p[i, 0] = reg_gamma_upper_log(m_first + 1.0, h[i])
+        acc = np.logaddexp.accumulate(ln_p, axis=-1)
+        t[:, a:a + m.shape[1]] = ln_d + acc
+        ln_c = acc[:, -1]
+    if rows > 1:
+        t[np.arange(t.shape[1]) >= np.subtract(m1, m0)[:, None]] = -np.inf
+    return t
+
+
+def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
+    """noncentral_chi2_cdf_log(k, lam, x) for each pair of equal-length
+    sequences lams and xs, as a list. The windows of all pairs that need
+    the series are summed in blocks of rows grouped by width, each block one
+    pass of _ncx2_log_terms; only the rows whose ends are not yet 46 nats
+    down go round again. Every row is tested and summed over its own slice,
+    so each value equals that of the pair taken alone, bit for bit."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
+    s = 0.5 * k
+    out = [None] * len(lams)
+    wins = []   # (width, m0, m1, index, y, h, half-width) of each window to sum
+    for i, (lam, x) in enumerate(zip(lams, xs)):
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
+        if not (math.isfinite(x) and x >= 0.0):
+            raise DomainError(f"evaluation point must be >= 0, got {x!r}")
+        y, h = 0.5 * x, 0.5 * lam
+        # Halving the smallest subnormal gives 0, so test the halves.
+        if y == 0.0:
+            out[i] = -math.inf
+        elif h == 0.0:
+            out[i] = reg_gamma_lower_log(s, y)
+        else:
+            r = max(y, math.sqrt(y * h))
+            rise = r - s
+            if rise > _NCX2_MAX_TERMS:
+                raise SeriesCapError(f"noncentral chi-squared series rises for {rise:.3g} terms, "
+                                     f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
+            wins.append(_ncx2_window(k, lams, xs, i, y, h, max(int(rise), 0),
+                                     int(math.sqrt(92.0 * r)) + 50))
+
+    while wins:
+        wider = []
+        for block in _ncx2_blocks(wins):
+            _, m0s, m1s, _, ys, hs, _ = zip(*block)
+            t = _ncx2_block_terms(s, ys, hs, m0s, m1s)
+            for row, top, (w, m0, _, i, y, h, half) in zip(t, t.argmax(axis=1).tolist(), block):
+                peak = float(row[top])
+                if (m0 == 0 or row[0] < peak - 46.0) and row[w - 1] < peak - 46.0:
+                    row = row[:w]
+                    row -= peak
+                    out[i] = min(peak + math.log(float(np.exp(row, out=row).sum())), 0.0)
+                else:
+                    wider.append(_ncx2_window(k, lams, xs, i, y, h, m0 + top, 2 * half))
+        wins = wider
+    return out
+
+
+def _ncx2_window(k, lams, xs, i, y, h, centre, half) -> tuple:
+    """The window of row i, centred on centre with that half-width, cut at
+    m = 0, as (width, m0, m1, i, y, h, half); one wider than
+    _NCX2_MAX_TERMS is refused."""
+    m0, m1 = max(centre - half, 0), centre + half + 1
+    if m1 - m0 > _NCX2_MAX_TERMS:
+        raise SeriesCapError(f"noncentral chi-squared window needs {m1 - m0} terms, more "
+                             f"than {_NCX2_MAX_TERMS} (k={k}, lam={lams[i]}, x={xs[i]})")
+    return m1 - m0, m0, m1, i, y, h, half
+
+
+def _ncx2_blocks(wins: list) -> list:
+    """The windows (width first) cut into blocks of at most _NCX2_CHUNK
+    terms, rows times the widest row: all of them if they fit, else runs of
+    the windows sorted by width, each as long as the cap allows."""
+    if len(wins) * max(wins)[0] <= _NCX2_CHUNK:
+        return [wins]
+    wins = sorted(wins)
+    blocks, a = [], 0
+    while a < len(wins):
+        b = a + 1
+        while b < len(wins) and (b + 1 - a) * wins[b][0] <= _NCX2_CHUNK:
+            b += 1
+        blocks.append(wins[a:b])
+        a = b
+    return blocks
+
+
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     """ln Pr{X <= x} for X noncentral chi-squared with k dof and
     noncentrality lam. This is the one evaluator of that law: the linear
@@ -298,6 +424,10 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     half-width doubled. A series whose summand would rise for more than
     _NCX2_MAX_TERMS terms is refused at once, and so is one whose window
     would grow past that many terms.
+
+    _ncx2_cdf_log_rows gives these values for many (lam, x) at one k, a
+    whole curve, in shared passes; each of its rows is tested and summed as
+    here, so the two agree bit for bit.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"degrees of freedom must be > 0, got {k!r}")

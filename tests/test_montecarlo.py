@@ -154,6 +154,18 @@ class TestSimulateOutage:
         assert est.p_hat == 0.25 and not est.resolution_exhausted and est.p_upper_95 is None
         assert SimEstimate(20_000, 29).ci95 is not None and SimEstimate(20_000, 30).ci95 is None
 
+    # Before the check, (0, 0) raised ZeroDivisionError on p_hat, and
+    # (1000, 1200) and (1000, -1) a math domain error on stderr.
+    @pytest.mark.parametrize("n,hits", [(0, 0), (-5, 0), (1000, 1200), (1000, -1),
+                                        (1000.0, 10), (1000, 2.5), (True, 0), (1000, None)])
+    def test_an_inconsistent_count_is_refused(self, n, hits):
+        with pytest.raises(DomainError):
+            SimEstimate(n, hits)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        est = SimEstimate(np.int64(1000), np.int64(0))
+        assert est.p_hat == 0.0 and est.resolution_exhausted and SimEstimate(1, 1).p_hat == 1.0
+
     def test_curves_never_solve_an_interval(self, monkeypatch):
         # fig4 at 2e4 samples has points with 1-29 hits; no curve reads ci95.
         def refuse(*args):

@@ -108,6 +108,23 @@ class TestRegGamma:
             reg_gamma_upper(-2.0, 1.0)
 
 
+    def test_scalar_log_poisson_is_the_array_form_bit_for_bit(self):
+        # A float n above 15 is computed term by term in floats, for the
+        # incomplete-gamma seeds of the noncentral chi-squared windows; it
+        # must round exactly as the array form does on a one-value array.
+        from logndiv.special_fn import _log_poisson
+        rng = np.random.default_rng(1992)
+        n = np.concatenate([np.linspace(15.0, 17.0, 401)[1:],
+                            10.0 ** rng.uniform(1.2, 300.0, 4000)])
+        for v in n.tolist():
+            for mean in (v * float(rng.uniform(0.01, 3.0)),
+                         v + float(rng.normal()) * math.sqrt(v),
+                         float(rng.uniform(1e-6, 50.0))):
+                if mean > 0.0 and math.isfinite(mean):
+                    want = float(_log_poisson(np.array([v]), mean)[0])
+                    assert _log_poisson(v, mean) == want, (v, mean)
+
+
 class TestNoncentralChi2:
     def test_central_reduction(self):
         for k, x in ((1.0, 0.5), (2.0, 3.0), (7.0, 4.2)):
