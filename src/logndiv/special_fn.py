@@ -12,15 +12,16 @@ Marcum-Q, -expm1) of that log clamped at 0, so every linear value lies in
 ulps above 0, once s is below about 1e-14.
 
 The noncentral chi-squared log-CDF sums the dual series of Ding (1992, Appl.
-Statist. 41, AS 275), whose summand is unimodal, over a window around its
-peak. One loop serves one point or a whole curve that shares the degrees of
-freedom: each point is a row with its own window, the rows are sorted by
-width and cut into blocks, and each block is one numpy pass that holds at
-most _NCX2_CHUNK terms, rows and columns together (a single row longer
-than that takes several). A row whose window does not yet end 46 nats below
-its peak at both sides (or start at m = 0) goes round again, widened; the
-others are summed over their own slices, so a value never depends on the
-other rows of its curve. A series whose summand rises for more than
+Statist. 41, AS 275), whose summand is unimodal, over one numpy window
+around its peak. The window is widened until both of its ends lie 46 nats
+below the peak (or it starts at m = 0). The row form takes all points of a
+curve that share the degrees of freedom: each point is a row with its own
+window, the windows are cut into blocks, and each block is one numpy pass
+that holds at most _NCX2_CHUNK terms, rows and columns together (a single
+row longer than that takes several). Only rows whose ends are not yet 46
+nats down go round again, and each row is summed over its own slice, so a
+value never depends on the other rows of its curve and equals the one-point
+call bit for bit. A series whose summand rises for more than
 _NCX2_MAX_TERMS terms, or whose window would grow past that many, is
 refused. The incomplete-gamma series is refused before its first term
 where a lower bound on the terms it needs exceeds its iteration cap, and
@@ -331,10 +332,12 @@ def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
 def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
     """noncentral_chi2_cdf_log(k, lam, x) for each pair of equal-length
     sequences lams and xs, as a list. The windows of all pairs that need
-    the series are summed in blocks of rows grouped by width, each block one
-    pass of _ncx2_log_terms; only the rows whose ends are not yet 46 nats
-    down go round again. Every row is tested and summed over its own slice,
-    so each value equals that of the pair taken alone, bit for bit."""
+    the series are summed in blocks of rows (_ncx2_blocks), each block one
+    pass of _ncx2_block_terms; only the rows whose ends are not yet 46 nats
+    down go round again, centred on their peak with the half-width doubled.
+    Every row is tested and summed over its own slice, so each value equals
+    noncentral_chi2_cdf_log of the pair, bit for bit. For a single pair that
+    call is the cheaper one."""
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
     s = 0.5 * k
