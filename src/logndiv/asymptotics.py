@@ -25,12 +25,13 @@ Conventions shared by every function here:
     dropping them, even where that Er overflows a float.
   * The private curve form of EGC and MRC (_outage_curve, which presets
     calls) takes a whole grid through the same arm map: all its points go
-    to the noncentral chi-squared row kernel in one call, and a point below
-    the regime gets the curve's one BelowAsymptoticRegimeError in place of
-    its value. Its values equal the per-point functions' bit for bit. The
-    per-point functions keep the one-point kernel, which is cheaper for a
-    single window, and sum-CDF curves still go point by point
-    (_sum_cdf_curve).
+    to the noncentral chi-squared row kernel in one call, which sums their
+    first windows in shared passes and leaves a point that must widen to
+    the one-point kernel. A point below the regime gets the curve's one
+    BelowAsymptoticRegimeError in place of its value. Its values equal the
+    per-point functions' bit for bit. The per-point functions call the
+    one-point kernel directly, which is cheaper for a single window, and
+    sum-CDF curves still go point by point (_sum_cdf_curve).
   * Fully correlated channels (a = 1) are rejected: the osculating
     geometry behind the EGC/MRC forms degenerates, and the SC coefficient
     divides by the vanishing mixing determinant. Identical branches should

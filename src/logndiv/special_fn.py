@@ -13,19 +13,23 @@ ulps above 0, once s is below about 1e-14.
 
 The noncentral chi-squared log-CDF sums the dual series of Ding (1992, Appl.
 Statist. 41, AS 275), whose summand is unimodal, over one numpy window
-around its peak. The window is widened until both of its ends lie 46 nats
-below the peak (or it starts at m = 0). The row form takes all points of a
-curve that share the degrees of freedom: each point is a row with its own
-window, the windows are cut into blocks, and each block is one numpy pass
-that holds at most _NCX2_CHUNK terms, rows and columns together (a single
-row longer than that takes several). Only rows whose ends are not yet 46
-nats down go round again, and each row is summed over its own slice, so a
-value never depends on the other rows of its curve and equals the one-point
-call bit for bit. A series whose summand rises for more than
+around its peak. The one-point call widens the window until both of its
+ends lie 46 nats below the peak (or it starts at m = 0), and it is the only
+loop that widens one. The row form takes all points of a curve that share
+the degrees of freedom and sums their first windows only: these are cut
+into blocks, each block one numpy pass of at most _NCX2_CHUNK terms, rows
+and columns together, and each row is settled and summed over its own
+slice. Every other point goes to the one-point call, which starts from the
+same first window: one that needs no series, whose summand rises too far,
+whose first window is wider than a pass, or whose ends are not yet 46 nats
+down. So a value never depends on the other rows of its curve and equals
+the one-point call bit for bit. A series whose summand rises for more than
 _NCX2_MAX_TERMS terms, or whose window would grow past that many, is
 refused. The incomplete-gamma series is refused before its first term
 where a lower bound on the terms it needs exceeds its iteration cap, and
 so is the continued fraction, where an estimate of the terms it needs does.
+Below shape 1/2 the series branch of ln Q sums two parts of order s, not
+1 - P, so it keeps its relative accuracy at any small shape.
 
 The Gaussian log-CDF ln Phi takes math.erfc for a float above -37 and the
 asymptotic series below it. An array takes one vectorised pass through
@@ -67,6 +71,21 @@ _ERFCX_CHEB = np.array([
 
 # Incomplete-gamma iteration controls.
 _EPS = 1e-16
+_EULER_GAMMA = 0.5772156649015329
+# (-1)^k (zeta(k) - 1)/k for k = 2..27, the power series of ln Gamma(1 + s)
+# + ln(1 + s) - (1 - Euler's gamma) s (Abramowitz & Stegun 6.1.41 with
+# zeta(k) - 1 for zeta(k)). Below s = 1/2 the first term left out, near
+# (s/2)^28/28, is under 1e-17 of ln Gamma(1 + s).
+_LGAMMA1P_ZETA = (
+    0.3224670334241132, -0.0673523010531981, 0.020580808427784546, -0.007385551028673986,
+    0.0028905103307415234, -0.001192753911703261, 0.0005096695247430425,
+    -0.00022315475845357939, 9.945751278180853e-05, -4.492623673813314e-05,
+    2.050721277567069e-05, -9.439488275268397e-06, 4.374866789907488e-06,
+    -2.039215753801366e-06, 9.55141213040742e-07, -4.492469198764566e-07,
+    2.1207184805554665e-07, -1.0043224823968099e-07, 4.7698101693639804e-08,
+    -2.2711094608943164e-08, 1.0838659214896955e-08, -5.183475041970047e-09,
+    2.4836745438024785e-09, -1.1921401405860912e-09, 5.731367241678862e-10,
+    -2.7595228851242334e-10)
 _FPMIN = 1e-300
 _ITMAX = 10 ** 6
 # Longest noncentral chi-squared series summed; a longer one is a domain error.
@@ -172,6 +191,33 @@ def _gser_sum(s: float, x: float) -> float:
     raise SeriesCapError(f"incomplete gamma series did not converge (s={s}, x={x})")
 
 
+def _gser_upper_small_shape_log(s: float, x: float) -> float:
+    # ln Q(s,x) for s < 1/2 and x < s + 1, without forming 1 - P, whose
+    # rounding swamps Q (about s E1(x)) once s is below about 1e-14. With
+    # f = x^s / Gamma(1+s) = e^(s c), P = f (1 + s sum_{n>=1} (-x)^n /
+    # (n! (s+n))), so Q = u + v with u = 1 - f = -expm1(s c) and v = -f s
+    # sum_{n>=1} ...; both are of order s. math.lgamma(1 + s)
+    # is accurate only in absolute terms, so c = ln x - ln Gamma(1+s)/s
+    # comes from the zeta series. The terms x^n / n! fall from n = 2 on.
+    z = 0.0
+    for coef in reversed(_LGAMMA1P_ZETA):
+        z = coef + s * z
+    c = math.log(x) - (s * z - math.log1p(s) / s + 1.0 - _EULER_GAMMA)
+    term, total, n = 1.0, 0.0, 0
+    while True:
+        n += 1
+        term *= -x / n
+        total += term / (s + n)
+        if abs(term) <= abs(total) * _EPS * (s + n):   # <=: term may underflow to 0
+            break
+    if s > _FPMIN:
+        t = s * c
+        return math.log(-math.expm1(t) - math.exp(t) * s * total)
+    # Here e^(s c) rounds to 1, so Q = s (-c - total), whose product would lose
+    # digits below the normal range, or round to 0.
+    return math.log(s) + math.log(-c - total)
+
+
 def _gcf_factor(s: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for Q(s,x);
     # Q = x^s e^-x / Gamma(s) * factor. Valid for x >= s + 1.
@@ -211,11 +257,11 @@ def reg_gamma_upper_log(s: float, x: float) -> float:
     _check_gamma_args(s, x)
     if x == 0.0:
         return 0.0
+    if x - s < 1.0 and s < 0.5:
+        return _gser_upper_small_shape_log(s, x)
     ln_f = math.log(s) + _log_poisson(s, x)   # ln(e^-x x^s / Gamma(s)), accurate at large s
     if x - s < 1.0:   # not x < s + 1, which fails once s + 1 rounds to s
-        p = _gser_sum(s, x) * math.exp(ln_f)
-        # P rounds to >= 1 only for tiny s, where Q is below P's rounding.
-        return math.log1p(-p) if p < 1.0 else -math.inf
+        return math.log1p(-_gser_sum(s, x) * math.exp(ln_f))   # P < P(1/2, 3/2) = 0.917
     return ln_f + math.log(_gcf_factor(s, x))
 
 
@@ -300,30 +346,21 @@ def _ncx2_log_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndarra
 
 def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
     """_ncx2_log_terms for a block of windows given as equal-length
-    sequences: one row each, padded with -inf past the row's own m1, with
-    the same terms, rounded the same way. A pass holds at most _NCX2_CHUNK
-    terms, rows and columns together, so a row longer than that is built in
-    chunks of columns that carry ln C across."""
+    sequences, in one numpy pass: one row each, padded with -inf past the
+    row's own m1, with the same terms, rounded the same way. The rows are
+    first windows, which the caller keeps within _NCX2_CHUNK terms a pass,
+    rows and columns together."""
     rows = len(m0)
-    t = np.empty((rows, max(map(operator.sub, m1, m0))))
     # Rows 0..rows-1: the Poisson(h) terms at m; the rest: the gamma density at s + m.
     first, mean = np.array(((*m0, *m0), (*h, *y)), dtype=float)[:, :, None]
-    step = max(_NCX2_CHUNK // rows, 1)
-    ln_c = None   # ln C of each row at the end of the last chunk
-    for a in range(0, t.shape[1], step):
-        m = first + np.arange(a, min(a + step, t.shape[1]), dtype=float)
-        m[rows:] += s
-        terms = _log_poisson(m, mean)
-        ln_p, ln_d = terms[:rows], terms[rows:]
-        if ln_c is not None:
-            ln_p[:, 0] = np.logaddexp(ln_c, ln_p[:, 0])
-        else:
-            for i, m_first in enumerate(m0):
-                if m_first > 0:
-                    ln_p[i, 0] = reg_gamma_upper_log(m_first + 1.0, h[i])
-        acc = np.logaddexp.accumulate(ln_p, axis=-1)
-        t[:, a:a + m.shape[1]] = ln_d + acc
-        ln_c = acc[:, -1]
+    m = first + np.arange(max(map(operator.sub, m1, m0)), dtype=float)
+    m[rows:] += s
+    terms = _log_poisson(m, mean)
+    ln_p, ln_d = terms[:rows], terms[rows:]
+    for i, m_first in enumerate(m0):
+        if m_first > 0:
+            ln_p[i, 0] = reg_gamma_upper_log(m_first + 1.0, h[i])
+    t = ln_d + np.logaddexp.accumulate(ln_p, axis=-1)
     if rows > 1:
         t[np.arange(t.shape[1]) >= np.subtract(m1, m0)[:, None]] = -np.inf
     return t
@@ -331,64 +368,33 @@ def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
 
 def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
     """noncentral_chi2_cdf_log(k, lam, x) for each pair of equal-length
-    sequences lams and xs, as a list. The windows of all pairs that need
-    the series are summed in blocks of rows (_ncx2_blocks), each block one
-    pass of _ncx2_block_terms; only the rows whose ends are not yet 46 nats
-    down go round again, centred on their peak with the half-width doubled.
-    Every row is tested and summed over its own slice, so each value equals
-    noncentral_chi2_cdf_log of the pair, bit for bit. For a single pair that
-    call is the cheaper one."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
+    sequences lams and xs, as a list. Every pair is checked first. The first
+    windows of the pairs that need the series, and whose first window fits
+    one pass, are summed in blocks of rows (_ncx2_blocks), each block one
+    pass of _ncx2_block_terms, and each row whose ends lie 46 nats down is
+    summed over its own slice. Every other pair, one that needs no series,
+    rises too far, has a first window wider than a pass or must widen, is
+    handed to noncentral_chi2_cdf_log, which starts from the same first
+    window. So each value equals that call's bit for bit. For a single
+    pair that call is the cheaper one."""
     s = 0.5 * k
     out = [None] * len(lams)
-    wins = []   # (width, m0, m1, index, y, h, half-width) of each window to sum
+    wins = []   # (width, m0, m1, index, y, h) of each first window that fits a pass
     for i, (lam, x) in enumerate(zip(lams, xs)):
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
-        if not (math.isfinite(x) and x >= 0.0):
-            raise DomainError(f"evaluation point must be >= 0, got {x!r}")
+        _check_ncx2_args(k, lam, x)
         y, h = 0.5 * x, 0.5 * lam
-        # Halving the smallest subnormal gives 0, so test the halves.
-        if y == 0.0:
-            out[i] = -math.inf
-        elif h == 0.0:
-            out[i] = reg_gamma_lower_log(s, y)
-        else:
-            r = max(y, math.sqrt(y * h))
-            rise = r - s
-            if rise > _NCX2_MAX_TERMS:
-                raise SeriesCapError(f"noncentral chi-squared series rises for {rise:.3g} terms, "
-                                     f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
-            wins.append(_ncx2_window(k, lams, xs, i, y, h, max(int(rise), 0),
-                                     int(math.sqrt(92.0 * r)) + 50))
-
-    while wins:
-        wider = []
-        for block in _ncx2_blocks(wins):
-            _, m0s, m1s, _, ys, hs, _ = zip(*block)
-            t = _ncx2_block_terms(s, ys, hs, m0s, m1s)
-            for row, top, (w, m0, _, i, y, h, half) in zip(t, t.argmax(axis=1).tolist(), block):
-                peak = float(row[top])
-                if (m0 == 0 or row[0] < peak - 46.0) and row[w - 1] < peak - 46.0:
-                    row = row[:w]
-                    row -= peak
-                    out[i] = min(peak + math.log(float(np.exp(row, out=row).sum())), 0.0)
-                else:
-                    wider.append(_ncx2_window(k, lams, xs, i, y, h, m0 + top, 2 * half))
-        wins = wider
-    return out
-
-
-def _ncx2_window(k, lams, xs, i, y, h, centre, half) -> tuple:
-    """The window of row i, centred on centre with that half-width, cut at
-    m = 0, as (width, m0, m1, i, y, h, half); one wider than
-    _NCX2_MAX_TERMS is refused."""
-    m0, m1 = max(centre - half, 0), centre + half + 1
-    if m1 - m0 > _NCX2_MAX_TERMS:
-        raise SeriesCapError(f"noncentral chi-squared window needs {m1 - m0} terms, more "
-                             f"than {_NCX2_MAX_TERMS} (k={k}, lam={lams[i]}, x={xs[i]})")
-    return m1 - m0, m0, m1, i, y, h, half
+        if y > 0.0 and h > 0.0:
+            rise, centre, half = _ncx2_first_window(s, y, h)
+            m0, m1 = max(centre - half, 0), centre + half + 1
+            if rise <= _NCX2_MAX_TERMS and m1 - m0 <= _NCX2_CHUNK:
+                wins.append((m1 - m0, m0, m1, i, y, h))
+    for block in _ncx2_blocks(wins) if wins else ():
+        _, m0s, m1s, _, ys, hs = zip(*block)
+        t = _ncx2_block_terms(s, ys, hs, m0s, m1s)
+        for row, top, (w, m0, _, i, _, _) in zip(t, t.argmax(axis=1).tolist(), block):
+            out[i] = _ncx2_settled_log_sum(row[:w], top, m0)
+    return [noncentral_chi2_cdf_log(k, lam, x) if v is None else v
+            for v, lam, x in zip(out, lams, xs)]
 
 
 def _ncx2_blocks(wins: list) -> list:
@@ -408,6 +414,35 @@ def _ncx2_blocks(wins: list) -> list:
     return blocks
 
 
+def _check_ncx2_args(k: float, lam: float, x: float) -> None:
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"evaluation point must be >= 0, got {x!r}")
+
+
+def _ncx2_first_window(s: float, y: float, h: float) -> tuple[float, int, int]:
+    """(rise, centre, half-width) of the first window of the series at
+    s = k/2, y = x/2 and h = lam/2, both halves > 0: the summand rises for
+    about rise = r - s terms, with r = max(y, sqrt(y h)), and the window
+    spans sqrt(92 r) + 50 terms on each side of max(rise, 0)."""
+    r = max(y, math.sqrt(y * h))
+    return r - s, max(int(r - s), 0), int(math.sqrt(92.0 * r)) + 50
+
+
+def _ncx2_settled_log_sum(t: np.ndarray, top: int, m0: int):
+    """ln of the sum of e^t over the window t of log terms that starts at m0
+    and peaks at index top, clamped at 0; None while an end of the window,
+    other than m = 0, is not yet 46 nats below the peak. t is overwritten."""
+    peak = float(t[top])
+    if (m0 == 0 or t[0] < peak - 46.0) and t[-1] < peak - 46.0:
+        t -= peak
+        return min(peak + math.log(float(np.exp(t, out=t).sum())), 0.0)
+    return None
+
+
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     """ln Pr{X <= x} for X noncentral chi-squared with k dof and
     noncentrality lam. This is the one evaluator of that law: the linear
@@ -420,38 +455,31 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     near c = r - s with r = max(y, sqrt(y h)), and there its log has a
     curvature of at least about 1/r, so 46 nats down lie within about
     sqrt(92 r) terms of it. The sum runs over a window of that many terms
-    plus 50 on each side of c, cut at m = 0: ln C at its left edge m0
-    is one ln Q(m0 + 1, h) (-h at m0 = 0), and numpy log-adds the Poisson
-    terms across it. If an end of the window, other than m = 0, is not 46
-    nats below the peak, the window is centred on the peak found and its
-    half-width doubled. A series whose summand would rise for more than
+    plus 50 on each side of c, cut at m = 0 (_ncx2_first_window): ln C at
+    its left edge m0 is one ln Q(m0 + 1, h) (-h at m0 = 0), and numpy
+    log-adds the Poisson terms across it. If an end of the window, other
+    than m = 0, is not 46 nats below the peak, the window is centred on the
+    peak found and its half-width doubled; this is the one loop that widens
+    a window. A series whose summand would rise for more than
     _NCX2_MAX_TERMS terms is refused at once, and so is one whose window
     would grow past that many terms.
 
     _ncx2_cdf_log_rows gives these values for many (lam, x) at one k, a
-    whole curve, in shared passes; each of its rows is tested and summed as
-    here, so the two agree bit for bit.
+    whole curve: it sums the first windows in shared passes, settles each
+    row as here and hands every other pair to this function, so the two
+    agree bit for bit.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"evaluation point must be >= 0, got {x!r}")
+    _check_ncx2_args(k, lam, x)
     s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
     # Halving the smallest subnormal gives 0, so test the halves.
     if y == 0.0:
         return -math.inf
     if h == 0.0:
         return reg_gamma_lower_log(s, y)
-    r = max(y, math.sqrt(y * h))
-    rise = r - s
+    rise, centre, half = _ncx2_first_window(s, y, h)
     if rise > _NCX2_MAX_TERMS:
         raise SeriesCapError(f"noncentral chi-squared series rises for {rise:.3g} terms, "
                              f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
-
-    centre = max(int(rise), 0)
-    half = int(math.sqrt(92.0 * r)) + 50
     while True:
         m0, m1 = max(centre - half, 0), centre + half + 1
         if m1 - m0 > _NCX2_MAX_TERMS:
@@ -459,10 +487,9 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
                                  f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
         t = _ncx2_log_terms(s, y, h, m0, m1)
         i = int(t.argmax())
-        peak = float(t[i])
-        if (m0 == 0 or t[0] < peak - 46.0) and t[-1] < peak - 46.0:
-            t -= peak
-            return min(peak + math.log(float(np.exp(t, out=t).sum())), 0.0)
+        ln_p = _ncx2_settled_log_sum(t, i, m0)
+        if ln_p is not None:
+            return ln_p
         centre, half = m0 + i, 2 * half
 
 

@@ -56,6 +56,29 @@ def test_series_past_the_iteration_cap_is_refused_at_once(fn, s):
     assert time.perf_counter() - start < 0.05
 
 
+# Below s = 1/2 the series branch forms Q as u + v, both O(s), not as 1 - P:
+# at s = 1.5e-102, x = 0.5 the difference gave -inf for ln Q = -235.04, and
+# at s = 1e-16 it gave -33.27 for -37.42. u and v cancel most near x = s + 1
+# at s above 0.1 (1.5e-15 at s = 0.4, x = 1.37), where 1 - P erred by up to
+# 4.6e-15. A subnormal s is summed without the product that would lose it.
+@pytest.mark.parametrize("s", [5e-324, 1e-300, 1.5e-102, 1e-16, 1e-14, 1e-8, 1e-3, 0.1, 0.3, 0.49, 0.4999])
+@pytest.mark.parametrize("x", [1e-30, 1e-5, 0.1, 0.5, 1.0, 1.45])
+def test_upper_gamma_matches_mpmath_at_small_shape(s, x):
+    with mp.workdps(40):
+        # Below s = 1e-200, Q = s E1(x) to far more than double precision,
+        # and mpmath's gammainc takes seconds at a subnormal s.
+        q = mp.mpf(s) * mp.e1(x) if s < 1e-200 else mp.gammainc(s, x, mp.inf, regularized=True)
+        ref_q = float(mp.log(q))
+    assert abs(reg_gamma_upper_log(s, x) - ref_q) <= 2e-15 * max(1.0, abs(ref_q))
+
+
+def test_small_shape_constants_rebuild_from_mpmath():
+    with mp.workdps(50):
+        coefs = tuple(float((-1) ** k * (mp.zeta(k) - 1) / k) for k in range(2, 28))
+        assert special_fn._LGAMMA1P_ZETA == coefs
+        assert special_fn._EULER_GAMMA == float(mp.euler)
+
+
 @pytest.mark.parametrize("s", [1e5, 1e6, 1e7, 1e8])
 def test_shapes_the_ncx2_window_seed_reaches_still_return_values(s):
     # mpmath gives up above s = 1e6, so P + Q = 1 is the check; at x = s,
