@@ -195,10 +195,10 @@ def _gser_upper_small_shape_log(s: float, x: float) -> float:
     # ln Q(s,x) for s < 1/2 and x < s + 1, without forming 1 - P, whose
     # rounding swamps Q (about s E1(x)) once s is below about 1e-14. With
     # f = x^s / Gamma(1+s) = e^(s c), P = f (1 + s sum_{n>=1} (-x)^n /
-    # (n! (s+n))), so Q = u + v with u = 1 - f = -expm1(s c) and v = -f s
-    # sum_{n>=1} ...; both are of order s. math.lgamma(1 + s)
-    # is accurate only in absolute terms, so c = ln x - ln Gamma(1+s)/s
-    # comes from the zeta series. The terms x^n / n! fall from n = 2 on.
+    # (n! (s+n))), so Q = u + v with u = 1 - f = -expm1(s c) and
+    # v = -f s sum_{n>=1} ...; both are of order s. math.lgamma(1 + s) is
+    # accurate only in absolute terms, so c = ln x - ln Gamma(1+s)/s comes
+    # from the zeta series. The terms x^n / n! fall from n = 2 on.
     z = 0.0
     for coef in reversed(_LGAMMA1P_ZETA):
         z = coef + s * z

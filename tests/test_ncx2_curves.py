@@ -1,6 +1,7 @@
-"""The row form of the noncentral chi-squared kernel, which sums every point
-of a curve in shared passes, against the one-point call, bit for bit; its
-pass size and pass count; and the EGC/MRC curves built on it."""
+"""The row form of the noncentral chi-squared kernel, which sums the first
+windows of a curve's points in shared passes and hands every other point
+to the one-point call, against that call, bit for bit; its pass size and
+pass count; and the EGC/MRC curves built on it."""
 
 import math
 from collections import Counter
@@ -159,6 +160,8 @@ def test_a_curve_pair_that_rises_past_the_cap_is_refused_as_one_point(lam, x):
 
 @pytest.mark.parametrize("lam,x", [(math.nan, 1.0), (1.0, -1.0), (-0.5, 2.0), (1.0, math.inf)])
 def test_every_curve_pair_is_checked_before_any_series(lam, x, monkeypatch):
+    # The bad pair comes last, after one that rises past the cap and one
+    # whose first window is wider than a pass: its DomainError comes first.
     seen, windows = _passes(monkeypatch), _windows(monkeypatch)
     with pytest.raises(DomainError):
         _ncx2_cdf_log_rows(2.0, [3.0, 1e8, 1e6, lam], [4.0, 1e8, 2.4e7, x])
