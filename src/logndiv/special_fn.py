@@ -12,23 +12,15 @@ Marcum-Q, -expm1) of that log clamped at 0, so every linear value lies in
 ulps above 0, once s is below about 1e-14.
 
 The noncentral chi-squared log-CDF sums the dual series of Ding (1992, Appl.
-Statist. 41, AS 275), whose summand is unimodal, over one numpy window
-around its peak. The one-point call widens the window until both of its
-ends lie 46 nats below the peak (or it starts at m = 0), and it is the only
-loop that widens one. The row form takes all points of a curve that share
-the degrees of freedom and sums their first windows only: these are cut
-into blocks, each block one numpy pass of at most _NCX2_CHUNK terms, rows
-and columns together, and each row is settled and summed over its own
-slice. Every other point goes to the one-point call, which starts from the
-same first window: one that needs no series, whose summand rises too far,
-whose first window is wider than a pass, or whose ends are not yet 46 nats
-down. So a value never depends on the other rows of its curve and equals
-the one-point call bit for bit. A series whose summand rises for more than
-_NCX2_MAX_TERMS terms, or whose window would grow past that many, is
-refused. The incomplete-gamma series is refused before its first term
-where a lower bound on the terms it needs exceeds its iteration cap, and
-so is the continued fraction, where an estimate of the terms it needs does.
-Below shape 1/2 the series branch of ln Q sums two parts of order s, not
+Statist. 41, AS 275) over a window around the peak of its unimodal summand;
+noncentral_chi2_cdf_log describes how. One function evaluates the terms
+(_ncx2_block_terms) and one loop widens a window (the one-point call); the
+row form, for the points of a curve, only shares their first windows.
+
+The incomplete-gamma series is refused before its first term where a lower
+bound on the terms it needs exceeds its iteration cap, and so is the
+continued fraction, where an estimate of the terms it needs does. Below
+shape 1/2 the series branch of ln Q sums two parts of order s, not
 1 - P, so it keeps its relative accuracy at any small shape.
 
 The Gaussian log-CDF ln Phi takes math.erfc for a float above -37 and the
@@ -323,33 +315,13 @@ def _log_poisson(n, mean):
     return out
 
 
-def _ncx2_log_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndarray:
-    """ln(d_m C_m) for m0 <= m < m1, the terms of noncentral_chi2_cdf_log.
-    C at m0 is one incomplete gamma, ln Q(m0 + 1, h), or the first Poisson
-    term e^-h at m0 = 0; the Poisson terms past it are log-added on, in
-    chunks, so that a long window holds one array of its own length."""
-    t = np.empty(m1 - m0)
-    ln_c = None   # ln C at the end of the last chunk
-    for a in range(m0, m1, _NCX2_CHUNK):
-        b = min(a + _NCX2_CHUNK, m1)
-        # Row 0: the Poisson(h) terms at m; row 1: the gamma density at s + m.
-        ln_p, ln_d = _log_poisson(np.arange(a, b, dtype=float) + [[0.0], [s]], [[h], [y]])
-        if ln_c is not None:
-            ln_p[0] = np.logaddexp(ln_c, ln_p[0])
-        elif a > 0:
-            ln_p[0] = reg_gamma_upper_log(a + 1.0, h)
-        acc = np.logaddexp.accumulate(ln_p)
-        t[a - m0:b - m0] = ln_d + acc
-        ln_c = acc[-1]
-    return t
-
-
 def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
-    """_ncx2_log_terms for a block of windows given as equal-length
-    sequences, in one numpy pass: one row each, padded with -inf past the
-    row's own m1, with the same terms, rounded the same way. The rows are
-    first windows, which the caller keeps within _NCX2_CHUNK terms a pass,
-    rows and columns together."""
+    """ln(d_m C_m) for m0 <= m < m1, the terms of noncentral_chi2_cdf_log,
+    for a block of windows given as equal-length sequences, in one numpy
+    pass: one row each, padded with -inf past the row's own m1. C at m0 is
+    one incomplete gamma, ln Q(m0 + 1, h), or the first Poisson term e^-h at
+    m0 = 0, and numpy log-adds the Poisson terms past it. Both callers keep
+    a pass within _NCX2_CHUNK terms, rows and columns together."""
     rows = len(m0)
     # Rows 0..rows-1: the Poisson(h) terms at m; the rest: the gamma density at s + m.
     first, mean = np.array(((*m0, *m0), (*h, *y)), dtype=float)[:, :, None]
@@ -368,15 +340,10 @@ def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
 
 def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
     """noncentral_chi2_cdf_log(k, lam, x) for each pair of equal-length
-    sequences lams and xs, as a list. Every pair is checked first. The first
-    windows of the pairs that need the series, and whose first window fits
-    one pass, are summed in blocks of rows (_ncx2_blocks), each block one
-    pass of _ncx2_block_terms, and each row whose ends lie 46 nats down is
-    summed over its own slice. Every other pair, one that needs no series,
-    rises too far, has a first window wider than a pass or must widen, is
-    handed to noncentral_chi2_cdf_log, which starts from the same first
-    window. So each value equals that call's bit for bit. For a single
-    pair that call is the cheaper one."""
+    sequences lams and xs, as a list, equal to that call's values bit for
+    bit: the first windows of many pairs share a numpy pass here, and every
+    pair that the first window does not settle is handed to that call. All
+    pairs are checked first."""
     s = 0.5 * k
     out = [None] * len(lams)
     wins = []   # (width, m0, m1, index, y, h) of each first window that fits a pass
@@ -388,7 +355,7 @@ def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
             m0, m1 = max(centre - half, 0), centre + half + 1
             if rise <= _NCX2_MAX_TERMS and m1 - m0 <= _NCX2_CHUNK:
                 wins.append((m1 - m0, m0, m1, i, y, h))
-    for block in _ncx2_blocks(wins) if wins else ():
+    for block in _ncx2_blocks(wins):
         _, m0s, m1s, _, ys, hs = zip(*block)
         t = _ncx2_block_terms(s, ys, hs, m0s, m1s)
         for row, top, (w, m0, _, i, _, _) in zip(t, t.argmax(axis=1).tolist(), block):
@@ -398,11 +365,9 @@ def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
 
 
 def _ncx2_blocks(wins: list) -> list:
-    """The windows (width first) cut into blocks of at most _NCX2_CHUNK
-    terms, rows times the widest row: all of them if they fit, else runs of
-    the windows sorted by width, each as long as the cap allows."""
-    if len(wins) * max(wins)[0] <= _NCX2_CHUNK:
-        return [wins]
+    """The windows (width first) sorted by width and cut into runs of at most
+    _NCX2_CHUNK terms, rows times the widest row, each as long as the cap
+    allows."""
     wins = sorted(wins)
     blocks, a = [], 0
     while a < len(wins):
@@ -454,26 +419,33 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     Both are log-concave in m, so the summand is unimodal. Its peak lies
     near c = r - s with r = max(y, sqrt(y h)), and there its log has a
     curvature of at least about 1/r, so 46 nats down lie within about
-    sqrt(92 r) terms of it. The sum runs over a window of that many terms
-    plus 50 on each side of c, cut at m = 0 (_ncx2_first_window): ln C at
-    its left edge m0 is one ln Q(m0 + 1, h) (-h at m0 = 0), and numpy
-    log-adds the Poisson terms across it. If an end of the window, other
-    than m = 0, is not 46 nats below the peak, the window is centred on the
-    peak found and its half-width doubled; this is the one loop that widens
-    a window. A series whose summand would rise for more than
-    _NCX2_MAX_TERMS terms is refused at once, and so is one whose window
-    would grow past that many terms.
+    sqrt(92 r) terms of it. The first window spans that many terms plus 50
+    on each side of c, cut at m = 0 (_ncx2_first_window). _ncx2_block_terms
+    fills it in passes of at most _NCX2_CHUNK terms, each seeded with one
+    ln Q(m0 + 1, h) at its left edge m0 (-h at m0 = 0). If an end of the
+    window, other than m = 0, is not 46 nats below the peak, the window is
+    centred on the peak found and its half-width doubled; this is the one
+    loop that widens a window. A series whose summand would rise for more
+    than _NCX2_MAX_TERMS terms is refused at once, and so is one whose
+    window would grow past that many terms.
 
     _ncx2_cdf_log_rows gives these values for many (lam, x) at one k, a
-    whole curve: it sums the first windows in shared passes, settles each
-    row as here and hands every other pair to this function, so the two
-    agree bit for bit.
+    whole curve. It cuts the first windows that fit a pass into blocks of
+    rows (_ncx2_blocks), each one pass of the same term step, and settles
+    and sums each row as here. Every other pair, one that needs no series,
+    rises too far, has a first window wider than a pass or must widen, it
+    hands to this function, which starts from the same first window, so the
+    two agree bit for bit. For a single pair this function is the cheaper.
     """
     _check_ncx2_args(k, lam, x)
     s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
-    # Halving the smallest subnormal gives 0, so test the halves.
+    # Halving the smallest subnormal gives 0, so test the halves. Past x = 0
+    # the first term, e^-h (x/2)^s / Gamma(s + 1), is then all of P: the
+    # next is smaller by a factor x (1 + h)/(2 s + 2), below 2.3e-16/(s + 1).
     if y == 0.0:
-        return -math.inf
+        if x == 0.0:
+            return -math.inf
+        return s * (math.log(x) - math.log(2.0)) - math.lgamma(s + 1.0) - h
     if h == 0.0:
         return reg_gamma_lower_log(s, y)
     rise, centre, half = _ncx2_first_window(s, y, h)
@@ -485,7 +457,10 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
         if m1 - m0 > _NCX2_MAX_TERMS:
             raise SeriesCapError(f"noncentral chi-squared window needs {m1 - m0} terms, "
                                  f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
-        t = _ncx2_log_terms(s, y, h, m0, m1)
+        t = np.empty(m1 - m0)
+        for a in range(m0, m1, _NCX2_CHUNK):
+            b = min(a + _NCX2_CHUNK, m1)
+            t[a - m0:b - m0] = _ncx2_block_terms(s, (y,), (h,), (a,), (b,))[0]
         i = int(t.argmax())
         ln_p = _ncx2_settled_log_sum(t, i, m0)
         if ln_p is not None:

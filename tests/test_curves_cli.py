@@ -89,6 +89,18 @@ class TestCli:
                   "--gamma-th", "0.1", "--scheme", "sc", "--er-db", "10:0:5"])
         assert exc.value.code == 2
 
+    def test_negative_grid_start_is_written_with_equals(self, tmp_path):
+        # After a space argparse reads "-20:40:30" as an option (exit 2), so a
+        # grid that starts below 0 dB is written --er-db=-20:40:30.
+        out = tmp_path / "c.csv"
+        rc = main(["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8",
+                   "--gamma-th", "0.1", "--scheme", "sc", "--er-db=-20:40:30",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out) as f:
+            _, curves = read_curves(f)
+        assert curves[0].points[0].x == -20.0
+
     def test_missing_channel_flags_is_domain_error(self, capsys):
         rc = main(["asymptotic", "--rho", "0.1", "--sigma-g", "0.8",
                    "--gamma-th", "0.1", "--scheme", "sc", "--er-db", "0:10:5"])

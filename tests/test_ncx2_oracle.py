@@ -6,13 +6,14 @@ lam = 1e6, over a range that the oracle finds around its own peak. Every
 linear CDF and Marcum-Q value in the package is a view of this one kernel."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from logndiv import special_fn
-from logndiv.special_fn import noncentral_chi2_cdf_log
+from logndiv.special_fn import _NCX2_CHUNK, noncentral_chi2_cdf_log
 
 
 def ncx2_cdf_ln(k, lam, x):
@@ -192,15 +193,21 @@ def test_log_cdf_matches_peak_ranged_mpmath_up_to_lam_1e6(k, lam, x):
 
 
 def _windows(monkeypatch):
-    """Record the (m0, m1) of every window the kernel sums."""
+    """Record the (m0, m1) of every window the one-point loop sums (of every
+    chunk, for a window wider than _NCX2_CHUNK terms): each term-step call
+    made from inside noncentral_chi2_cdf_log, not from the row form."""
     seen = []
-    terms = special_fn._ncx2_log_terms
+    terms = special_fn._ncx2_block_terms
 
     def spy(s, y, h, m0, m1):
-        seen.append((m0, m1))
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not noncentral_chi2_cdf_log.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            seen.append((*m0, *m1))
         return terms(s, y, h, m0, m1)
 
-    monkeypatch.setattr(special_fn, "_ncx2_log_terms", spy)
+    monkeypatch.setattr(special_fn, "_ncx2_block_terms", spy)
     return seen
 
 
@@ -227,9 +234,32 @@ def test_accumulated_poisson_cdf_keeps_the_oracle_bound(k, lam, x, monkeypatch):
     ln_p = noncentral_chi2_cdf_log(k, lam, x)
     m0, m1 = seen[-1]
     s, y, h = k / 2, x / 2, lam / 2
-    t = special_fn._ncx2_log_terms(s, y, h, m0, m1)
+    t = special_fn._ncx2_block_terms(s, (y,), (h,), (m0,), (m1,))[0]
     with mp.workdps(50):
         for m in ((m0 + m1) // 2, m1 - 1):
             ln_c = t[m - m0] - special_fn._log_poisson(s + m, y)
             ref = float(_ln_poisson_cdf(m, mp.mpf(h)))
             assert abs(ln_c - ref) <= 1e-12 * max(1.0, abs(ln_p))
+
+
+# At k = 1e8, lam = 1e6, x = 0.97e8 the first window holds about 1.3e5 terms:
+# the one-point loop fills it in passes of at most _NCX2_CHUNK terms, each
+# seeded by its own ln Q(m0 + 1, h). Its value is the one that a single
+# log-add of the Poisson terms across the whole window gives, bit for bit.
+def test_a_window_wider_than_a_pass_is_built_in_chunks(monkeypatch):
+    seen = _windows(monkeypatch)
+    got = noncentral_chi2_cdf_log(1e8, 1e6, 0.97e8)
+    assert len(seen) >= 2 and all(m1 - m0 <= _NCX2_CHUNK for m0, m1 in seen)
+    assert got.hex() == "-0x1.3ac2983951516p+15"
+
+
+# x = 5e-324 halves to 0, yet ln P is finite: the first term of the series.
+@pytest.mark.parametrize("k,lam", [(2.0, 1.0), (1.0, 0.3), (16.0, 10.0), (3.0, 0.0), (8.0, 100.0)])
+def test_log_cdf_at_the_smallest_subnormal_matches_mpmath(k, lam):
+    x = 5e-324
+    if lam:
+        ref = ncx2_cdf_ln(k, lam, x)
+    else:
+        with mp.workdps(40):
+            ref = float(mp.log(mp.gammainc(mp.mpf(k) / 2, 0, mp.mpf(x) / 2, regularized=True)))
+    assert abs(noncentral_chi2_cdf_log(k, lam, x) - ref) <= 1e-15 * abs(ref)
