@@ -25,9 +25,10 @@ Conventions shared by every function here:
     dropping them, even where that Er overflows a float.
   * The private curve form of EGC and MRC (_outage_curve, which presets
     calls) takes a whole grid through the same arm map: all its points go
-    to the noncentral chi-squared row kernel in one call, which sums their
-    first windows in shared passes and leaves a point that must widen to
-    the one-point kernel. A point below the regime gets the curve's one
+    to the noncentral chi-squared row kernel in one call, which shares
+    their first windows in numpy passes of the one term step and leaves a
+    point that must widen to the one-point kernel, the one loop that
+    widens. A point below the regime gets the curve's one
     BelowAsymptoticRegimeError in place of its value. Its values equal the
     per-point functions' bit for bit. The per-point functions call the
     one-point kernel directly, which is cheaper for a single window, and

@@ -324,15 +324,16 @@ def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
     a pass within _NCX2_CHUNK terms, rows and columns together."""
     rows = len(m0)
     # Rows 0..rows-1: the Poisson(h) terms at m; the rest: the gamma density at s + m.
-    first, mean = np.array(((*m0, *m0), (*h, *y)), dtype=float)[:, :, None]
-    m = first + np.arange(max(map(operator.sub, m1, m0)), dtype=float)
+    width = max(map(operator.sub, m1, m0))
+    m = np.array((*m0, *m0), dtype=float)[:, None] + np.arange(width, dtype=float)
     m[rows:] += s
-    terms = _log_poisson(m, mean)
+    terms = _log_poisson(m, np.array((*h, *y), dtype=float)[:, None])
     ln_p, ln_d = terms[:rows], terms[rows:]
     for i, m_first in enumerate(m0):
         if m_first > 0:
             ln_p[i, 0] = reg_gamma_upper_log(m_first + 1.0, h[i])
-    t = ln_d + np.logaddexp.accumulate(ln_p, axis=-1)
+    t = np.logaddexp.accumulate(ln_p, axis=-1)
+    t += ln_d
     if rows > 1:
         t[np.arange(t.shape[1]) >= np.subtract(m1, m0)[:, None]] = -np.inf
     return t
