@@ -433,10 +433,10 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     _ncx2_cdf_log_rows gives these values for many (lam, x) at one k, a
     whole curve. It cuts the first windows that fit a pass into blocks of
     rows (_ncx2_blocks), each one pass of the same term step, and settles
-    and sums each row as here. Every other pair, one that needs no series,
-    rises too far, has a first window wider than a pass or must widen, it
-    hands to this function, which starts from the same first window, so the
-    two agree bit for bit. For a single pair this function is the cheaper.
+    and sums each row as here. It hands every other pair to this function:
+    one that needs no series, rises too far, has a first window wider than
+    a pass or must widen. This function starts from the same first window,
+    so the two agree bit for bit. For a single pair it is the cheaper.
     """
     _check_ncx2_args(k, lam, x)
     s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
