@@ -24,15 +24,10 @@ Conventions shared by every function here:
     valid Er, so grid sweeps can annotate pre-asymptotic points instead of
     dropping them, even where that Er overflows a float.
   * The private curve form of EGC and MRC (_outage_curve, which presets
-    calls) takes a whole grid through the same arm map: all its points go
-    to the noncentral chi-squared row kernel in one call, which shares
-    their first windows in numpy passes of the one term step and leaves a
-    point that must widen to the one-point kernel, the one loop that
-    widens. A point below the regime gets the curve's one
-    BelowAsymptoticRegimeError in place of its value. Its values equal the
-    per-point functions' bit for bit. The per-point functions call the
-    one-point kernel directly, which is cheaper for a single window, and
-    sum-CDF curves still go point by point (_sum_cdf_curve).
+    calls) takes a whole grid through the same arm map and evaluates each
+    point with the same kernel call as the per-point functions, so its
+    values equal theirs bit for bit. A point below the regime gets the
+    curve's one BelowAsymptoticRegimeError in place of its value.
   * Fully correlated channels (a = 1) are rejected: the osculating
     geometry behind the EGC/MRC forms degenerates, and the SC coefficient
     divides by the vanishing mixing determinant. Identical branches should
@@ -49,7 +44,7 @@ from .channel import ChannelSpec, DerivedParams, log_det_mixing, mixing_weight, 
 from .errors import (_LN_FLOAT_MAX, BelowAsymptoticRegimeError, DegenerateGeometryError,
                      DomainError)
 from .schemes import SchemeKind
-from .special_fn import _ncx2_cdf_log_rows, gaussian_q, noncentral_chi2_cdf_log
+from .special_fn import gaussian_q, noncentral_chi2_cdf_log
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LG_E = math.log10(math.e)
@@ -161,17 +156,15 @@ def _ncx2_arms(L: int, w: float, sigma_g: float, zs, c: float) -> tuple[list, fl
 def _combiner_curve_ln(params: DerivedParams, gamma_th: float, ers, c: float,
                        name: str) -> list:
     """ln P of EGC (c = 1) or MRC (c = 1/2) at each Er of a curve (watts),
-    every point in one call of the noncentral chi-squared row kernel, or,
-    at a point below the regime, the curve's one BelowAsymptoticRegimeError:
-    the bound does not depend on Er."""
+    or, at a point below the regime, the curve's one
+    BelowAsymptoticRegimeError: the bound does not depend on Er."""
     L, sigma_g = params.L, params.sigma_G
     zs = [0.5 * math.log(L * er / gamma_th) - sigma_g ** 2 for er in ers]
     firsts, second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, zs, c)
-    lams = [a * a for a in firsts if not a <= 0.0]
-    lns = iter(_ncx2_cdf_log_rows(L, lams, [second * second] * len(lams)))
     below = (_below_regime(name, math.log(gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))
-             if len(lams) < len(firsts) else None)
-    return [below if a <= 0.0 else next(lns) for a in firsts]
+             if any(a <= 0.0 for a in firsts) else None)
+    x = second * second
+    return [below if a <= 0.0 else noncentral_chi2_cdf_log(L, a * a, x) for a in firsts]
 
 
 def _combiner_ln(params: DerivedParams, q: OutageQuery, c: float, name: str) -> float:
@@ -296,8 +289,8 @@ def outage_asym(params: DerivedParams, scheme, q: OutageQuery) -> float:
 
 def _outage_curve(params: DerivedParams, scheme, gamma_th: float, ers) -> list:
     """outage_asym at each Er of a curve (watts), with the
-    BelowAsymptoticRegimeError of a point below the regime in its place.
-    EGC and MRC take one kernel call for the whole curve."""
+    BelowAsymptoticRegimeError of a point below the regime in its place;
+    EGC and MRC points below the regime share one."""
     qs = [OutageQuery(gamma_th, er) for er in ers]   # every point's input checks
     if params.L > 1 and scheme in (SchemeKind.EGC, SchemeKind.MRC):
         c, name = (1.0, "EGC") if scheme is SchemeKind.EGC else (0.5, "MRC")

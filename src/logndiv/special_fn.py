@@ -3,19 +3,19 @@ package: Gaussian tail Q and log-CDF, regularized incomplete gamma, and the
 generalized Marcum-Q function evaluated through the noncentral chi-squared
 series.
 
-All functions are pure, deterministic, and safe to call concurrently. The
-public ones return plain floats; the private row form of the noncentral
-chi-squared kernel returns a list of them, one per point. Each probability
-has one evaluator, in log space. Its linear value is the exp (for
-Marcum-Q, -expm1) of that log clamped at 0, so every linear value lies in
-[0, 1]. The clamp binds only where the series for ln P(s, x) rounds a few
-ulps above 0, once s is below about 1e-14.
+All functions are pure, deterministic, and safe to call concurrently, and
+return plain floats. Each probability has one evaluator, in log space. Its
+linear value is the exp (for Marcum-Q, -expm1) of that log clamped at 0, so
+every linear value lies in [0, 1]. The clamp binds only where the series
+for ln P(s, x) rounds a few ulps above 0, once s is below about 1e-14.
 
-The noncentral chi-squared log-CDF sums the dual series of Ding (1992, Appl.
-Statist. 41, AS 275) over a window around the peak of its unimodal summand;
-noncentral_chi2_cdf_log describes how. One function evaluates the terms
-(_ncx2_block_terms) and one loop widens a window (the one-point call); the
-row form, for the points of a curve, only shares their first windows.
+The noncentral chi-squared log-CDF has two routes, and
+noncentral_chi2_cdf_log picks one per point. Below the noncentrality it is
+Nuttall's series of Bessel functions, summed by one scalar loop of the
+ratios I_(nu+1)/I_nu with no numpy call (_ncx2_bessel_log). Elsewhere it
+sums the dual series of Ding (1992, Appl. Statist. 41, AS 275) over a numpy
+window around the peak of its unimodal summand (_ncx2_window_log), whose
+terms one function evaluates (_ncx2_block_terms).
 
 The incomplete-gamma series is refused before its first term where a lower
 bound on the terms it needs exceeds its iteration cap, and so is the
@@ -34,7 +34,6 @@ mpmath values.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +83,12 @@ _ITMAX = 10 ** 6
 _NCX2_MAX_TERMS = 10 ** 7
 # Terms evaluated per numpy pass of that series.
 _NCX2_CHUNK = 2 ** 16
+# Largest s = k/2 that the lower-tail Bessel series takes. With the cap
+# above, its loop runs at most s + sqrt(80 xi) + 10 < 2^16 steps.
+_NCX2_BESSEL_MAX_ORDER = 2.0 ** 14
+# From here on e^-xi I_nu(xi) comes from Hankel's expansion.
+_HANKEL_FROM = 25.0
+_LN2 = math.log(2.0)
 
 
 def gaussian_q(x: float) -> float:
@@ -315,98 +320,134 @@ def _log_poisson(n, mean):
     return out
 
 
-def _ncx2_block_terms(s: float, y, h, m0, m1) -> np.ndarray:
-    """ln(d_m C_m) for m0 <= m < m1, the terms of noncentral_chi2_cdf_log,
-    for a block of windows given as equal-length sequences, in one numpy
-    pass: one row each, padded with -inf past the row's own m1. C at m0 is
-    one incomplete gamma, ln Q(m0 + 1, h), or the first Poisson term e^-h at
-    m0 = 0, and numpy log-adds the Poisson terms past it. Both callers keep
-    a pass within _NCX2_CHUNK terms, rows and columns together."""
-    rows = len(m0)
-    # Rows 0..rows-1: the Poisson(h) terms at m; the rest: the gamma density at s + m.
-    width = max(map(operator.sub, m1, m0))
-    m = np.array((*m0, *m0), dtype=float)[:, None] + np.arange(width, dtype=float)
-    m[rows:] += s
-    terms = _log_poisson(m, np.array((*h, *y), dtype=float)[:, None])
-    ln_p, ln_d = terms[:rows], terms[rows:]
-    for i, m_first in enumerate(m0):
-        if m_first > 0:
-            ln_p[i, 0] = reg_gamma_upper_log(m_first + 1.0, h[i])
-    t = np.logaddexp.accumulate(ln_p, axis=-1)
+def _ncx2_block_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndarray:
+    """ln(d_m C_m) for m0 <= m < m1, the terms of the Ding window, in one
+    numpy pass. C at m0 is one incomplete gamma, ln Q(m0 + 1, h), or the
+    first Poisson term e^-h at m0 = 0, and numpy log-adds the Poisson terms
+    past it. The caller keeps a pass within _NCX2_CHUNK terms."""
+    # Row 0: the Poisson(h) terms at m; row 1: the gamma density at s + m.
+    m = np.arange(m1 - m0, dtype=float) + m0
+    terms = _log_poisson(np.stack((m, m + s)), np.array((h, y))[:, None])
+    ln_p, ln_d = terms
+    if m0 > 0:
+        ln_p[0] = reg_gamma_upper_log(m0 + 1.0, h)
+    t = np.logaddexp.accumulate(ln_p)
     t += ln_d
-    if rows > 1:
-        t[np.arange(t.shape[1]) >= np.subtract(m1, m0)[:, None]] = -np.inf
     return t
 
 
-def _ncx2_cdf_log_rows(k: float, lams, xs) -> list[float]:
-    """noncentral_chi2_cdf_log(k, lam, x) for each pair of equal-length
-    sequences lams and xs, as a list, equal to that call's values bit for
-    bit: the first windows of many pairs share a numpy pass here, and every
-    pair that the first window does not settle is handed to that call. All
-    pairs are checked first."""
-    s = 0.5 * k
-    out = [None] * len(lams)
-    wins = []   # (width, m0, m1, index, y, h) of each first window that fits a pass
-    for i, (lam, x) in enumerate(zip(lams, xs)):
-        _check_ncx2_args(k, lam, x)
-        y, h = 0.5 * x, 0.5 * lam
-        if y > 0.0 and h > 0.0:
-            rise, centre, half = _ncx2_first_window(s, y, h)
-            m0, m1 = max(centre - half, 0), centre + half + 1
-            if rise <= _NCX2_MAX_TERMS and m1 - m0 <= _NCX2_CHUNK:
-                wins.append((m1 - m0, m0, m1, i, y, h))
-    for block in _ncx2_blocks(wins):
-        _, m0s, m1s, _, ys, hs = zip(*block)
-        t = _ncx2_block_terms(s, ys, hs, m0s, m1s)
-        for row, top, (w, m0, _, i, _, _) in zip(t, t.argmax(axis=1).tolist(), block):
-            out[i] = _ncx2_settled_log_sum(row[:w], top, m0)
-    return [noncentral_chi2_cdf_log(k, lam, x) if v is None else v
-            for v, lam, x in zip(out, lams, xs)]
+def _ncx2_window_log(k: float, lam: float, x: float) -> float:
+    """noncentral_chi2_cdf_log by the Ding window, for checked arguments
+    with x, lam > 0 whose series rises for at most _NCX2_MAX_TERMS terms.
 
-
-def _ncx2_blocks(wins: list) -> list:
-    """The windows (width first) sorted by width and cut into runs of at most
-    _NCX2_CHUNK terms, rows times the widest row, each as long as the cap
-    allows."""
-    wins = sorted(wins)
-    blocks, a = [], 0
-    while a < len(wins):
-        b = a + 1
-        while b < len(wins) and (b + 1 - a) * wins[b][0] <= _NCX2_CHUNK:
-            b += 1
-        blocks.append(wins[a:b])
-        a = b
-    return blocks
-
-
-def _check_ncx2_args(k: float, lam: float, x: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"evaluation point must be >= 0, got {x!r}")
-
-
-def _ncx2_first_window(s: float, y: float, h: float) -> tuple[float, int, int]:
-    """(rise, centre, half-width) of the first window of the series at
-    s = k/2, y = x/2 and h = lam/2, both halves > 0: the summand rises for
-    about rise = r - s terms, with r = max(y, sqrt(y h)), and the window
-    spans sqrt(92 r) + 50 terms on each side of max(rise, 0)."""
+    With s = k/2, y = x/2 and h = lam/2, P = sum_m d_m C_m: d_m is the
+    gamma density e^-y y^(s+m) / Gamma(s+m+1) and C_m the Poisson(h) CDF at m.
+    Both are log-concave in m, so the summand is unimodal. Its peak lies
+    near c = r - s with r = max(y, sqrt(y h)), and there its log has a
+    curvature of at least about 1/r, so 46 nats down lie within about
+    sqrt(92 r) terms of it. The first window spans that many terms plus 50
+    on each side of c, cut at m = 0. _ncx2_block_terms fills it in passes
+    of at most _NCX2_CHUNK terms, each seeded with one ln Q(m0 + 1, h) at
+    its left edge m0 (-h at m0 = 0). If an end of the window, other than
+    m = 0, is not 46 nats below the peak, the window is centred on the peak
+    found and its half-width doubled; once both are, the terms are summed
+    as e^(t - peak), and ln P is clamped at 0. A window that would grow
+    past _NCX2_MAX_TERMS terms is refused."""
+    s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
     r = max(y, math.sqrt(y * h))
-    return r - s, max(int(r - s), 0), int(math.sqrt(92.0 * r)) + 50
+    centre, half = max(int(r - s), 0), int(math.sqrt(92.0 * r)) + 50
+    while True:
+        m0, m1 = max(centre - half, 0), centre + half + 1
+        if m1 - m0 > _NCX2_MAX_TERMS:
+            raise SeriesCapError(f"noncentral chi-squared window needs {m1 - m0} terms, "
+                                 f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
+        t = np.empty(m1 - m0)
+        for a in range(m0, m1, _NCX2_CHUNK):
+            b = min(a + _NCX2_CHUNK, m1)
+            t[a - m0:b - m0] = _ncx2_block_terms(s, y, h, a, b)
+        i = int(t.argmax())
+        peak = float(t[i])
+        if (m0 == 0 or t[0] < peak - 46.0) and t[-1] < peak - 46.0:
+            t -= peak
+            return min(peak + math.log(float(np.exp(t, out=t).sum())), 0.0)
+        centre, half = m0 + i, 2 * half
 
 
-def _ncx2_settled_log_sum(t: np.ndarray, top: int, m0: int):
-    """ln of the sum of e^t over the window t of log terms that starts at m0
-    and peaks at index top, clamped at 0; None while an end of the window,
-    other than m = 0, is not yet 46 nats below the peak. t is overwritten."""
-    peak = float(t[top])
-    if (m0 == 0 or t[0] < peak - 46.0) and t[-1] < peak - 46.0:
-        t -= peak
-        return min(peak + math.log(float(np.exp(t, out=t).sum())), 0.0)
-    return None
+def _bessel_i_scaled_log(nu: float, xi: float, ln_xi: float) -> float:
+    """ln(e^-xi I_nu(xi)) for 0 <= nu < 1 and a normal xi > 0, given
+    ln_xi = ln xi. From xi = _HANKEL_FROM on by Hankel's expansion, whose
+    terms (4 nu^2 - 1)(4 nu^2 - 9)... / (k! (8 xi)^k) fall to their least,
+    about e^(-2 xi), near k = 2 xi; below it by the power series, whose
+    terms are all positive (Abramowitz & Stegun 9.7.1 and 9.6.10)."""
+    t = total = 1.0
+    j = 0
+    if xi >= _HANKEL_FROM:
+        mu = 4.0 * nu * nu
+        while abs(t) > _EPS * total:
+            j += 1
+            t *= ((2 * j - 1) ** 2 - mu) / (8.0 * j * xi)
+            total += t
+        return math.log(total) - _LN_SQRT_2PI - 0.5 * ln_xi
+    q = 0.25 * xi * xi
+    while t > _EPS * total:
+        j += 1
+        t *= q / (j * (nu + j))
+        total += t
+    return nu * (ln_xi - _LN2) - math.lgamma(nu + 1.0) + math.log(total * math.exp(-xi))
+
+
+def _ncx2_bessel_log(s: float, lam: float, x: float) -> float:
+    """noncentral_chi2_cdf_log(2 s, lam, x) for 0 < x < lam, with xi =
+    sqrt(lam x) at least 2e-152 and s at most _NCX2_BESSEL_MAX_ORDER.
+
+    With a = sqrt(lam) and b = sqrt(x), P = 1 - Q_s(a, b) is the positive
+    series e^(-(a^2 + b^2)/2) sum_(j >= 0) rho^(s+j) I_(s+j)(xi), rho = b/a
+    < 1 (Nuttall 1975, IEEE Trans. IT 21), so
+
+        ln P = -d^2/2 + s ln rho + ln I~_nu0(xi) + sum ln r + ln H
+
+    with d = a - b, taken as (lam - x)/(a + b), I~_nu(xi) = e^-xi I_nu(xi)
+    at nu0 = s - floor(s), and the ratios r_nu = I_(nu+1)(xi) / I_nu(xi):
+    the sum runs over nu = nu0 .. s - 1, and H = 1 + rho r_s (1 + rho
+    r_(s+1) (1 + ...)). Two scalar loops build them, the second going on
+    from the first, down from nu = s + K by r_(nu-1) = xi / (2 nu + xi
+    r_nu): H first, then the sum. The recurrence damps the error
+    of its start (Amos 1974, Math. Comp. 28, whose bound it starts from)
+    by about r^2 a step. It carries u = 1 - r as (2 nu - xi u) / (2 nu +
+    xi r), which keeps the error of r near eps where r is near 1, and
+    rho r as r - delta r, delta = d/a, so that no rounded rho biases every
+    term of H alike. With K = max(sqrt(40 xi), min(40/|ln rho|, sqrt(80
+    xi))) + 10 the start is damped by e^-40 or more, and the first term of
+    H left out is below e^-40 of the first. The loops run floor(s) + K
+    steps, at most floor(s) + sqrt(80 xi) + 10."""
+    a, b = math.sqrt(lam), math.sqrt(x)
+    xi = math.sqrt(lam * x)
+    ln_xi = math.log(xi)
+    d = (lam - x) / (a + b)
+    delta = d / a
+    # ln rho by log1p where rho is near 1, where a rounded rho would lose it.
+    ln_rho = math.log1p(-delta) if delta < 0.5 else 0.5 * (math.log(x) - math.log(lam))
+    n = int(s)
+    nu0 = s - n
+    steps = int(max(math.sqrt(40.0 * xi), min(40.0 / -ln_rho, math.sqrt(80.0 * xi)))) + 10
+    nu = s + steps
+    u = 1.0 - xi / (nu + 0.5 + math.sqrt((nu + 1.5) ** 2 + xi * xi))
+    hh = 1.0
+    for j in range(steps, 0, -1):
+        num = 2.0 * (s + j) - xi * u
+        den = xi + num
+        r = xi / den
+        u = num / den
+        hh = 1.0 + (r - delta * r) * hh
+    ln_r = 0.0
+    for j in range(n, 0, -1):
+        num = 2.0 * (nu0 + j) - xi * u
+        den = xi + num
+        ln_r += math.log(xi / den)
+        u = num / den
+    # d^2 as (lam - x)^2 / (lam + x + 2 xi), added last to the smaller terms.
+    d2 = (lam - x) * ((lam - x) / (lam + x + 2.0 * xi))
+    return (s * ln_rho + _bessel_i_scaled_log(nu0, xi, ln_xi) + ln_r + math.log(hh)) - 0.5 * d2
 
 
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
@@ -415,30 +456,22 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
     CDF and the Marcum-Q function are views of it, and it stays finite
     where the linear CDF underflows.
 
-    With s = k/2, y = x/2 and h = lam/2, P = sum_m d_m C_m: d_m is the
-    gamma density e^-y y^(s+m) / Gamma(s+m+1) and C_m the Poisson(h) CDF at m.
-    Both are log-concave in m, so the summand is unimodal. Its peak lies
-    near c = r - s with r = max(y, sqrt(y h)), and there its log has a
-    curvature of at least about 1/r, so 46 nats down lie within about
-    sqrt(92 r) terms of it. The first window spans that many terms plus 50
-    on each side of c, cut at m = 0 (_ncx2_first_window). _ncx2_block_terms
-    fills it in passes of at most _NCX2_CHUNK terms, each seeded with one
-    ln Q(m0 + 1, h) at its left edge m0 (-h at m0 = 0). If an end of the
-    window, other than m = 0, is not 46 nats below the peak, the window is
-    centred on the peak found and its half-width doubled; this is the one
-    loop that widens a window. A series whose summand would rise for more
-    than _NCX2_MAX_TERMS terms is refused at once, and so is one whose
-    window would grow past that many terms.
-
-    _ncx2_cdf_log_rows gives these values for many (lam, x) at one k, a
-    whole curve. It cuts the first windows that fit a pass into blocks of
-    rows (_ncx2_blocks), each one pass of the same term step, and settles
-    and sums each row as here. It hands every other pair to this function:
-    one that needs no series, rises too far, has a first window wider than
-    a pass or must widen. This function starts from the same first window,
-    so the two agree bit for bit. For a single pair it is the cheaper.
+    With s = k/2, y = x/2 and h = lam/2, the dual series of Ding (1992)
+    rises for about r - s terms, r = max(y, sqrt(y h)); a series that would
+    rise for more than _NCX2_MAX_TERMS terms is refused at once, whichever
+    route then takes the point. Below the noncentrality, x < lam, the point
+    is a scalar Bessel series (_ncx2_bessel_log), unless s exceeds
+    _NCX2_BESSEL_MAX_ORDER or sqrt(y h) is below 1e-152, where its ratios
+    would lose their normal range. Every other point is the numpy Ding
+    window (_ncx2_window_log). At lam = 0 the law is central, and at x = 0
+    or a y that rounds to 0 the first term of the series is all of P.
     """
-    _check_ncx2_args(k, lam, x)
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"degrees of freedom must be > 0, got {k!r}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"noncentrality must be >= 0, got {lam!r}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"evaluation point must be >= 0, got {x!r}")
     s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
     # Halving the smallest subnormal gives 0, so test the halves. Past x = 0
     # the first term, e^-h (x/2)^s / Gamma(s + 1), is then all of P: the
@@ -449,24 +482,13 @@ def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:
         return s * (math.log(x) - math.log(2.0)) - math.lgamma(s + 1.0) - h
     if h == 0.0:
         return reg_gamma_lower_log(s, y)
-    rise, centre, half = _ncx2_first_window(s, y, h)
-    if rise > _NCX2_MAX_TERMS:
-        raise SeriesCapError(f"noncentral chi-squared series rises for {rise:.3g} terms, "
+    r = max(y, math.sqrt(y * h))
+    if r - s > _NCX2_MAX_TERMS:
+        raise SeriesCapError(f"noncentral chi-squared series rises for {r - s:.3g} terms, "
                              f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
-    while True:
-        m0, m1 = max(centre - half, 0), centre + half + 1
-        if m1 - m0 > _NCX2_MAX_TERMS:
-            raise SeriesCapError(f"noncentral chi-squared window needs {m1 - m0} terms, "
-                                 f"more than {_NCX2_MAX_TERMS} (k={k}, lam={lam}, x={x})")
-        t = np.empty(m1 - m0)
-        for a in range(m0, m1, _NCX2_CHUNK):
-            b = min(a + _NCX2_CHUNK, m1)
-            t[a - m0:b - m0] = _ncx2_block_terms(s, (y,), (h,), (a,), (b,))[0]
-        i = int(t.argmax())
-        ln_p = _ncx2_settled_log_sum(t, i, m0)
-        if ln_p is not None:
-            return ln_p
-        centre, half = m0 + i, 2 * half
+    if x < lam and r >= 1e-152 and s <= _NCX2_BESSEL_MAX_ORDER:
+        return _ncx2_bessel_log(s, lam, x)
+    return _ncx2_window_log(k, lam, x)
 
 
 def noncentral_chi2_cdf(k: float, lam: float, x: float) -> float:

@@ -6,13 +6,13 @@ lam = 1e6, over a range that the oracle finds around its own peak. Every
 linear CDF and Marcum-Q value in the package is a view of this one kernel."""
 
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from logndiv import special_fn
+from logndiv.errors import SeriesCapError
 from logndiv.special_fn import _NCX2_CHUNK, noncentral_chi2_cdf_log
 
 
@@ -193,18 +193,13 @@ def test_log_cdf_matches_peak_ranged_mpmath_up_to_lam_1e6(k, lam, x):
 
 
 def _windows(monkeypatch):
-    """Record the (m0, m1) of every window the one-point loop sums (of every
-    chunk, for a window wider than _NCX2_CHUNK terms): each term-step call
-    made from inside noncentral_chi2_cdf_log, not from the row form."""
+    """Record the (m0, m1) of every window the Ding loop sums (of every
+    chunk, for a window wider than _NCX2_CHUNK terms)."""
     seen = []
     terms = special_fn._ncx2_block_terms
 
     def spy(s, y, h, m0, m1):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not noncentral_chi2_cdf_log.__code__:
-            frame = frame.f_back
-        if frame is not None:
-            seen.append((*m0, *m1))
+        seen.append((m0, m1))
         return terms(s, y, h, m0, m1)
 
     monkeypatch.setattr(special_fn, "_ncx2_block_terms", spy)
@@ -228,13 +223,15 @@ def test_window_widens_until_its_ends_are_46_nats_down(k, lam, x, monkeypatch):
 # 0 across the window; and one that log-adds ln C across thousands of terms
 # near -7.7e4, where each addition rounds at about eps * 7.7e4. The Poisson
 # log-CDF that the window builds must keep the oracle bound to its last term.
+# The kernel takes the Bessel series at x < lam, so the window is called
+# directly.
 @pytest.mark.parametrize("k,lam,x", [(16.0, 1e6, 2e6), (16.0, 1e6, 1e6), (16.0, 1e6, 2.5e5)])
 def test_accumulated_poisson_cdf_keeps_the_oracle_bound(k, lam, x, monkeypatch):
     seen = _windows(monkeypatch)
-    ln_p = noncentral_chi2_cdf_log(k, lam, x)
+    ln_p = special_fn._ncx2_window_log(k, lam, x)
     m0, m1 = seen[-1]
     s, y, h = k / 2, x / 2, lam / 2
-    t = special_fn._ncx2_block_terms(s, (y,), (h,), (m0,), (m1,))[0]
+    t = special_fn._ncx2_block_terms(s, y, h, m0, m1)
     with mp.workdps(50):
         for m in ((m0 + m1) // 2, m1 - 1):
             ln_c = t[m - m0] - special_fn._log_poisson(s + m, y)
@@ -243,7 +240,7 @@ def test_accumulated_poisson_cdf_keeps_the_oracle_bound(k, lam, x, monkeypatch):
 
 
 # At k = 1e8, lam = 1e6, x = 0.97e8 the first window holds about 1.3e5 terms:
-# the one-point loop fills it in passes of at most _NCX2_CHUNK terms, each
+# the Ding loop fills it in passes of at most _NCX2_CHUNK terms, each
 # seeded by its own ln Q(m0 + 1, h). The seeds move no bit of the value that
 # one log-add of the Poisson terms across the whole window gives.
 def test_a_window_wider_than_a_pass_is_built_in_chunks(monkeypatch):
@@ -258,3 +255,171 @@ def test_a_window_wider_than_a_pass_is_built_in_chunks(monkeypatch):
 def test_log_cdf_at_the_smallest_subnormal_matches_mpmath(k, lam):
     ref = ncx2_cdf_ln_dual(k, lam, 5e-324)
     assert abs(noncentral_chi2_cdf_log(k, lam, 5e-324) - ref) <= 1e-15 * abs(ref)
+
+
+def ncx2_cdf_ln_bessel(k, lam, x, dps=40):
+    """ln Pr{X <= x} for x < lam as Nuttall's series e^(-(a^2+b^2)/2)
+    sum_j rho^(s+j) I_(s+j)(ab), rho = b/a, at dps digits: I_s(ab) from
+    mpmath, and the sum over j as 1 + rho r_s (1 + rho r_(s+1) (1 + ...)) of
+    the ratios r_nu = I_(nu+1)/I_nu, run down from zero at nu = s + J, with
+    J doubled until two sums agree to 10^-(dps+5)."""
+    with mp.workdps(dps + 15):
+        s = mp.mpf(k) / 2
+        a, b = mp.sqrt(mp.mpf(lam)), mp.sqrt(mp.mpf(x))
+        xi, rho = a * b, b / a
+
+        def tail(n):
+            r, total = mp.mpf(0), mp.mpf(1)
+            for j in range(n, 0, -1):
+                r = xi / (2 * (s + j) + xi * r)
+                total = 1 + rho * r * total
+            return total
+
+        n = 64 + int(12 * mp.sqrt(xi))
+        last, total = tail(n), tail(2 * n)
+        while abs(total - last) > total * mp.mpf(10) ** -(dps + 5):
+            n *= 2
+            last, total = total, tail(2 * n)
+        return float(-(a - b) ** 2 / 2 + s * mp.log(rho) + mp.log(mp.besseli(s, xi)) - xi
+                     + mp.log(total))
+
+
+@pytest.mark.parametrize("k,lam,x", [(2.0, 10.0, 3.0), (3.0, 100.0, 50.0), (0.3, 40.0, 1e-6)])
+def test_bessel_oracle_matches_its_terms_summed_one_by_one(k, lam, x):
+    with mp.workdps(40):
+        s, a, b = mp.mpf(k) / 2, mp.sqrt(mp.mpf(lam)), mp.sqrt(mp.mpf(x))
+        total, j = mp.mpf(0), 0
+        while True:
+            term = (b / a) ** (s + j) * mp.besseli(s + j, a * b)
+            total += term
+            if term < total * mp.mpf(10) ** -40:
+                break
+            j += 1
+        ref = float(-(a * a + b * b) / 2 + mp.log(total))
+    assert abs(ncx2_cdf_ln_bessel(k, lam, x) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+def _bessel_route(monkeypatch):
+    """Record the (s, lam, x) of every call of the Bessel series."""
+    seen = []
+    series = special_fn._ncx2_bessel_log
+
+    def spy(s, lam, x):
+        seen.append((s, lam, x))
+        return series(s, lam, x)
+
+    monkeypatch.setattr(special_fn, "_ncx2_bessel_log", spy)
+    return seen
+
+
+def _deep_points():
+    # A sample of the EGC and MRC kernel points of perfbench's closed_form_deep
+    # workload: L 2, 3, 4 and 8, rho 0 to 0.9, sigma_G 0.98 to 1.02 and
+    # gamma_th 0.095 to 0.105, 0 to 300 dB.
+    from logndiv import asymptotics
+    from logndiv.channel import ChannelSpec, derive_params
+
+    pts = []
+    cells = [(2, 0.0, 0.98, 0.1, 1.0), (2, 0.9, 1.02, 0.1, 0.5), (3, 0.1, 0.99, 0.095, 1.0),
+             (3, 0.5, 1.01, 0.105, 0.5), (4, 0.5, 0.98, 0.1, 1.0), (4, 0.9, 0.99, 0.095, 0.5),
+             (8, 0.1, 1.02, 0.1, 0.5), (8, 0.9, 1.01, 0.105, 1.0)]
+    for L, rho, sg, g, c in cells:
+        params = derive_params(ChannelSpec(L=L, rho=rho, sigma_G=sg, Er=1.0))
+        zs = [0.5 * math.log(L * 10.0 ** (db / 10.0) / g) - sg * sg for db in (0, 100, 300)]
+        firsts, second, _ = asymptotics._ncx2_arms(L, params.w, sg, zs, c)
+        pts += [(float(L), a * a, second * second) for a in firsts if a > 0.0]
+    return pts
+
+
+@pytest.mark.parametrize("k,lam,x", _deep_points(), ids=lambda v: f"{v:.4g}")
+def test_bessel_series_matches_mpmath_at_deep_curve_points(k, lam, x, monkeypatch):
+    seen = _bessel_route(monkeypatch)
+    ref = ncx2_cdf_ln_bessel(k, lam, x)
+    assert abs(noncentral_chi2_cdf_log(k, lam, x) - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert len(seen) == 1
+
+
+# Where the routes meet: the last floats below lam take the Bessel series,
+# lam itself and the floats above it the Ding window. Both keep the oracle
+# bound, and the step between the routes, one float below lam to one above,
+# is the oracle's step within it.
+@pytest.mark.parametrize("k,lam", [(2.0, 10.0), (0.3, 3.0), (2.7, 250.0), (8.0, 4000.0),
+                                   (3.0, 6e4)])
+def test_routes_agree_where_they_meet(k, lam, monkeypatch):
+    seen = _bessel_route(monkeypatch)
+    below, above = math.nextafter(lam, 0.0), math.nextafter(lam, math.inf)
+    got, ref = {}, {}
+    for x in (lam * (1.0 - 1e-6), below, lam, above):
+        ref[x] = (ncx2_cdf_ln_bessel if x < lam else ncx2_cdf_ln_peak)(k, lam, x)
+        got[x] = noncentral_chi2_cdf_log(k, lam, x)
+        assert abs(got[x] - ref[x]) <= 1e-14 * max(1.0, abs(ref[x]))
+    assert [x for _, _, x in seen] == [lam * (1.0 - 1e-6), below]
+    step, ref_step = got[above] - got[below], ref[above] - ref[below]
+    assert abs(step - ref_step) <= 1e-14 * max(1.0, abs(ref[above]))
+
+
+def _high_rho_points():
+    # The EGC points of the README's L = 8, rho = 0.99, sigma_G = 0.8,
+    # gamma_th = 0.1 curve, -20 to 310 dB in 30-dB steps, that lie below lam.
+    from logndiv import asymptotics
+    from logndiv.channel import ChannelSpec, derive_params
+
+    params = derive_params(ChannelSpec(L=8, rho=0.99, sigma_G=0.8, Er=1.0))
+    zs = [0.5 * math.log(8 * 10.0 ** (db / 10.0) / 0.1) - 0.64 for db in range(-20, 311, 30)]
+    firsts, second, _ = asymptotics._ncx2_arms(8, params.w, 0.8, zs, 1.0)
+    return [(8.0, a * a, second * second) for a in firsts if second < a]
+
+
+@pytest.mark.parametrize("k,lam,x", _high_rho_points(), ids=lambda v: f"{v:.6g}")
+def test_bessel_series_matches_mpmath_on_the_high_rho_curve(k, lam, x):
+    ref = ncx2_cdf_ln_bessel(k, lam, x)
+    assert abs(noncentral_chi2_cdf_log(k, lam, x) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+# Tiny xi = sqrt(lam x): the ratios r ~ xi/(2 nu) must not underflow before
+# their logs are taken. Below sqrt(y h) = 1e-152 the Ding window takes over.
+@pytest.mark.parametrize("k,lam,x,bessel", [
+    (1.0, 1.0, 5.75e-93, True), (1.0, 1.0, 1e-300, True), (2.7, 1e-100, 1e-199, True),
+    (16.0, 1e-20, 1e-280, True), (0.3, 1e-150, 1e-160, False), (1.0, 1e-300, 1e-310, False)])
+def test_tiny_xi_matches_mpmath(k, lam, x, bessel, monkeypatch):
+    seen = _bessel_route(monkeypatch)
+    ref = ncx2_cdf_ln(k, lam, x)
+    assert abs(noncentral_chi2_cdf_log(k, lam, x) - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert len(seen) == bessel
+
+
+# Fractional orders s = k/2 start the ratio chain from I_(s - floor(s)).
+@pytest.mark.parametrize("k", [2.7, 0.3])
+@pytest.mark.parametrize("lam,x", [(1.0, 0.5), (30.0, 20.0), (30.0, 1e-3), (400.0, 390.0),
+                                   (2e3, 10.0), (5e4, 4.9e4)])
+def test_fractional_orders_match_mpmath(k, lam, x):
+    ref = ncx2_cdf_ln_bessel(k, lam, x)
+    assert abs(noncentral_chi2_cdf_log(k, lam, x) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+# The largest x < lam that the rise cap accepts: sqrt(y h) - s = 1e7, so xi
+# is about 2e7, rho rounds to 1 and the loop takes floor(s) + sqrt(80 xi) +
+# 10 steps at most; at the largest order the series takes, under 2^16.
+@pytest.mark.parametrize("k", [2.0, 2.0 * special_fn._NCX2_BESSEL_MAX_ORDER])
+def test_bessel_loop_stays_under_its_step_bound_at_the_largest_point(k, monkeypatch):
+    s = 0.5 * k
+    lam = 2.0 * (1e7 + s)
+    x = math.nextafter(lam, 0.0)
+    steps = []
+
+    def counted(*args):
+        steps.append(len(range(*args)))
+        return range(*args)
+
+    monkeypatch.setattr(special_fn, "range", counted, raising=False)
+    got = noncentral_chi2_cdf_log(k, lam, x)
+    monkeypatch.undo()
+    assert sum(steps) <= int(s) + math.sqrt(80.0 * math.sqrt(lam * x)) + 10 < 2 ** 16
+    assert sum(steps) >= int(s) + math.sqrt(80.0 * math.sqrt(lam * x)) - 1
+    # Against the Ding window at the same point: at lam = 2e7 one rounding
+    # of x moves ln P by about sqrt(lam) eps, and both sum tens of thousands
+    # of terms.
+    ref = special_fn._ncx2_window_log(k, lam, x)
+    assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+    with pytest.raises(SeriesCapError):
+        noncentral_chi2_cdf_log(k, math.nextafter(lam, math.inf) * (1.0 + 1e-15), lam)
