@@ -89,6 +89,8 @@ _NCX2_BESSEL_MAX_ORDER = 2.0 ** 14
 # From here on e^-xi I_nu(xi) comes from Hankel's expansion.
 _HANKEL_FROM = 25.0
 _LN2 = math.log(2.0)
+# Veltkamp's splitter 2^27 + 1, which halves a float's 53 bits for Dekker's product.
+_SPLIT = 134217729.0
 
 
 def gaussian_q(x: float) -> float:
@@ -326,8 +328,10 @@ def _ncx2_block_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndar
     first Poisson term e^-h at m0 = 0, and numpy log-adds the Poisson terms
     past it. The caller keeps a pass within _NCX2_CHUNK terms."""
     # Row 0: the Poisson(h) terms at m; row 1: the gamma density at s + m.
-    m = np.arange(m1 - m0, dtype=float) + m0
-    terms = _log_poisson(np.stack((m, m + s)), np.array((h, y))[:, None])
+    m = np.empty((2, m1 - m0))
+    m[0] = np.arange(m0, m1, dtype=float)
+    np.add(m[0], s, out=m[1])
+    terms = _log_poisson(m, np.array((h, y))[:, None])
     ln_p, ln_d = terms
     if m0 > 0:
         ln_p[0] = reg_gamma_upper_log(m0 + 1.0, h)
@@ -396,6 +400,43 @@ def _bessel_i_scaled_log(nu: float, xi: float, ln_xi: float) -> float:
     return nu * (ln_xi - _LN2) - math.lgamma(nu + 1.0) + math.log(total * math.exp(-xi))
 
 
+def _two_prod(p: float, q: float) -> tuple[float, float]:
+    """p q and its rounding error, by Dekker's product on Veltkamp's halves:
+    exact while p q is below 1e300 and its error is a normal float."""
+    pq = p * q
+    c = _SPLIT * p
+    ph = c - (c - p)
+    pl = p - ph
+    c = _SPLIT * q
+    qh = c - (c - q)
+    ql = q - qh
+    return pq, ((ph * qh - pq) + ph * ql + pl * qh) + pl * ql
+
+
+def _ncx2_d2(lam: float, x: float, xi: float) -> tuple[float, float]:
+    """d^2 = (sqrt(lam) - sqrt(x))^2 for 0 < x < lam, as (lam - x)^2 /
+    (lam + x + 2 xi) with xi = sqrt(lam x) rounded, and a second float that
+    carries its rounding error. Deep in the tail -d^2/2 is nearly all of
+    ln P, so its rounding, a few ulps of d^2 in one float, would be a few
+    ulps of ln P; head plus tail is within about eps^2 of d^2. From lam =
+    1e150 on, where the squares would overflow, the tail is 0."""
+    t = lam - x
+    if lam >= 1e150:
+        return t * (t / (lam + x + 2.0 * xi)), 0.0
+    t_lo = (lam - t) - x   # lam - x = t + t_lo exactly, as lam > x
+    p, p_lo = _two_prod(lam, x)
+    q, q_lo = _two_prod(xi, xi)
+    xi_lo = ((p - q) - q_lo + p_lo) / (2.0 * xi)   # sqrt(lam x) = xi + xi_lo
+    u = lam + x
+    den = u + 2.0 * xi   # lam + x >= 2 xi, so both sums are exact in two parts
+    den_lo = ((u - den) + 2.0 * xi) + ((lam - u) + x) + 2.0 * xi_lo
+    num, num_lo = _two_prod(t, t)
+    num_lo += 2.0 * t * t_lo
+    d2 = num / den
+    m, m_lo = _two_prod(d2, den)
+    return d2, (((num - m) - m_lo) + num_lo - d2 * den_lo) / den
+
+
 def _ncx2_bessel_log(s: float, lam: float, x: float) -> float:
     """noncentral_chi2_cdf_log(2 s, lam, x) for 0 < x < lam, with xi =
     sqrt(lam x) at least 2e-152 and s at most _NCX2_BESSEL_MAX_ORDER.
@@ -406,12 +447,12 @@ def _ncx2_bessel_log(s: float, lam: float, x: float) -> float:
 
         ln P = -d^2/2 + s ln rho + ln I~_nu0(xi) + sum ln r + ln H
 
-    with d = a - b, taken as (lam - x)/(a + b), I~_nu(xi) = e^-xi I_nu(xi)
-    at nu0 = s - floor(s), and the ratios r_nu = I_(nu+1)(xi) / I_nu(xi):
-    the sum runs over nu = nu0 .. s - 1, and H = 1 + rho r_s (1 + rho
-    r_(s+1) (1 + ...)). Two scalar loops build them, the second going on
-    from the first, down from nu = s + K by r_(nu-1) = xi / (2 nu + xi
-    r_nu): H first, then the sum. The recurrence damps the error
+    with d = a - b, I~_nu(xi) = e^-xi I_nu(xi) at nu0 = s - floor(s), and
+    the ratios r_nu = I_(nu+1)(xi) / I_nu(xi): the sum runs over nu = nu0
+    .. s - 1, and H = 1 + rho r_s (1 + rho r_(s+1) (1 + ...)). Two scalar
+    loops build them, the second going on from the first, down from nu =
+    s + K by r_(nu-1) = xi / (2 nu + xi r_nu): H first, then the sum. The
+    recurrence damps the error
     of its start (Amos 1974, Math. Comp. 28, whose bound it starts from)
     by about r^2 a step. It carries u = 1 - r as (2 nu - xi u) / (2 nu +
     xi r), which keeps the error of r near eps where r is near 1, and
@@ -419,7 +460,8 @@ def _ncx2_bessel_log(s: float, lam: float, x: float) -> float:
     term of H alike. With K = max(sqrt(40 xi), min(40/|ln rho|, sqrt(80
     xi))) + 10 the start is damped by e^-40 or more, and the first term of
     H left out is below e^-40 of the first. The loops run floor(s) + K
-    steps, at most floor(s) + sqrt(80 xi) + 10."""
+    steps, at most floor(s) + sqrt(80 xi) + 10. d itself is (lam - x)/(a +
+    b), and d^2 a head and a tail (_ncx2_d2), added after the other terms."""
     a, b = math.sqrt(lam), math.sqrt(x)
     xi = math.sqrt(lam * x)
     ln_xi = math.log(xi)
@@ -445,9 +487,9 @@ def _ncx2_bessel_log(s: float, lam: float, x: float) -> float:
         den = xi + num
         ln_r += math.log(xi / den)
         u = num / den
-    # d^2 as (lam - x)^2 / (lam + x + 2 xi), added last to the smaller terms.
-    d2 = (lam - x) * ((lam - x) / (lam + x + 2.0 * xi))
-    return (s * ln_rho + _bessel_i_scaled_log(nu0, xi, ln_xi) + ln_r + math.log(hh)) - 0.5 * d2
+    d2, d2_lo = _ncx2_d2(lam, x, xi)
+    rest = s * ln_rho + _bessel_i_scaled_log(nu0, xi, ln_xi) + ln_r + math.log(hh)
+    return (rest - 0.5 * d2_lo) - 0.5 * d2
 
 
 def noncentral_chi2_cdf_log(k: float, lam: float, x: float) -> float:

@@ -14,23 +14,23 @@ _CHANNEL = ["--L", "3", "--rho", "0.5", "--sigma-g", "1", "--gamma-th", "1000",
 
 PINNED = {
     "figure fig4": (["figure", "fig4"],
-                    "505f3bd2af90c3484f1a430213f33f5991597559429c521afa1ddd273ad369cf"),
+                    "b48f1592fcbfeb90337afab05e34d2622777cd42c2f1d1a9a5f1b384cb2a03b0"),
     "figure fig5": (["figure", "fig5"],
                     "ad5c1f8c396aac5a322b79b529dfc5ad830670a85f8da4d81b38a523f6a734fe"),
     "figure fig6": (["figure", "fig6"],
                     "d347a7a3563988afa614766eded6d64e88039382853f25049f8cd6122d3467e8"),
     "figure fig7": (["figure", "fig7"],
-                    "c2e6404556f857e1709c345dbb524ca8c1eb7ae13b35386bf2bee590850292cd"),
+                    "2ff25158606da8a5f68a244bea8fd6411a10abab5879166ee625572de2290c7d"),
     "figure fig4 --samples 20000 --seed 3": (
         ["figure", "fig4", "--samples", "20000", "--seed", "3"],
-        "b0d3c7f37f9994ece31676730490017a4a3041c986164db6795f1b43b30f98ef"),
+        "9e6e2e992eb74e523f4e6d2ecf77eb8c3ad979f369b591b885a2d639c11a788e"),
     # At gamma_th = 1000 the first SC and MRC points lie below their regimes.
     "asymptotic sc": (["asymptotic", "--scheme", "sc", *_CHANNEL],
                       "145441d47dcb73bd118fa60acab45e0d54874090b84a845a28954a2fd50b407b"),
     "asymptotic egc": (["asymptotic", "--scheme", "egc", *_CHANNEL],
-                       "ac357d47afb5dc028a97aba3b0aeb8854606abfd018b3c0870c8abfaccf2f79d"),
+                       "4ef04dea20f456f6daf1740fb9441737ab67aed47fa7b4412f173d21059bee6b"),
     "asymptotic mrc": (["asymptotic", "--scheme", "mrc", *_CHANNEL],
-                       "30d62b5effe10adaca242785102d2feac61359c73346da80b147993196bbde51"),
+                       "72335dd946d9759dade7c29443787c9bb32d40139fd6370cfb542b6864e44014"),
     # The last 60 of these log-spaced y lie beyond the tail region.
     "sumcdf --method asym": (
         ["sumcdf", "--L", "3", "--rho", "0.5", "--mu-g", "0", "--sigma-g", "1",

@@ -1,16 +1,21 @@
 """The EGC/MRC curve form against the per-point functions, bit for bit:
 each point of a curve goes through the same noncentral chi-squared kernel
-call, and the points below the regime share one error."""
+call, and the points below the regime share one error. Also the kernel's
+refusals, which come before either of its routes, and a long curve grid."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logndiv import asymptotics
+from logndiv import asymptotics, special_fn
 from logndiv.asymptotics import OutageQuery
 from logndiv.channel import ChannelSpec, derive_params
-from logndiv.errors import BelowAsymptoticRegimeError, SeriesCapError
+from logndiv.errors import BelowAsymptoticRegimeError, DomainError, SeriesCapError
+from logndiv.presets import asymptotic_curve, er_grid_from
 from logndiv.schemes import SchemeKind
+from logndiv.special_fn import noncentral_chi2_cdf_log
 
 property_settings = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -50,3 +55,46 @@ def test_points_below_the_regime_share_one_error():
     got = asymptotics._outage_curve(params, SchemeKind.MRC, 1000.0, [1e-3, 1e-2, 1e30])
     assert isinstance(got[0], BelowAsymptoticRegimeError) and got[1] is got[0]
     assert 0.0 < got[2] < 1.0
+
+
+def _routes(monkeypatch):
+    """Record every call of either route of the kernel: the Bessel series
+    and the Ding window's term step."""
+    seen = []
+    for name in ("_ncx2_bessel_log", "_ncx2_block_terms"):
+        route = getattr(special_fn, name)
+
+        def spy(*args, route=route, name=name):
+            seen.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(special_fn, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("lam,x", [(1e8, 1e8), (1.0, 2.2e7), (4.4e7, 1.1e7)])
+def test_a_pair_that_rises_past_the_cap_is_refused_before_either_route(lam, x, monkeypatch):
+    # At k = 2, x = 2.2e7 the series rises for 1.1e7 terms, past the cap,
+    # though its first window (63 723 terms) would fit a pass of the term
+    # step; at lam = 4.4e7, x = 1.1e7 (below lam) sqrt(y h) is 1.1e7.
+    seen = _routes(monkeypatch)
+    with pytest.raises(SeriesCapError):
+        noncentral_chi2_cdf_log(2.0, lam, x)
+    assert seen == []
+
+
+@pytest.mark.parametrize("lam,x", [(math.nan, 1.0), (1.0, -1.0), (-0.5, 2.0), (1.0, math.inf)])
+def test_a_bad_pair_is_refused_before_either_route(lam, x, monkeypatch):
+    seen = _routes(monkeypatch)
+    with pytest.raises(DomainError):
+        noncentral_chi2_cdf_log(2.0, lam, x)
+    assert seen == []
+
+
+def test_a_long_grid_sets_every_point():
+    # 30 001 EGC points over 0:300:0.01 dB, each one kernel call.
+    spec = ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0)
+    grid = er_grid_from({"start": 0.0, "stop": 300.0, "step": 0.01})
+    assert len(grid) == 30001
+    curve = asymptotic_curve(spec, SchemeKind.EGC, 0.1, grid)
+    assert all(p.outage is not None for p in curve.points)

@@ -423,3 +423,41 @@ def test_bessel_loop_stays_under_its_step_bound_at_the_largest_point(k, monkeypa
     assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
     with pytest.raises(SeriesCapError):
         noncentral_chi2_cdf_log(k, math.nextafter(lam, math.inf) * (1.0 + 1e-15), lam)
+
+
+# Deep in the tail -d^2/2 is nearly all of ln P, so the series carries d^2
+# as a head and a tail: in one float its rounding would be a few ulps of ln P.
+@pytest.mark.parametrize("lam,x", [(1153.1340128597728, 24.0), (1e6, 1.0), (10.0, 9.999999),
+                                   (2e7, 1.9999999e7), (1e-100, 1e-199), (1e140, 1e-130)])
+def test_d2_head_and_tail_match_mpmath(lam, x):
+    d2, d2_lo = special_fn._ncx2_d2(lam, x, math.sqrt(lam * x))
+    with mp.workdps(60):
+        ref = (mp.sqrt(mp.mpf(lam)) - mp.sqrt(mp.mpf(x))) ** 2
+        assert abs(mp.mpf(d2) + d2_lo - ref) <= 1e-30 * ref
+
+
+def _pinned_combiner_points():
+    # The EGC and MRC kernel points of the pinned asymptotic curves (L 3,
+    # rho 0.5, sigma_G 1, gamma_th 1000), every 10 dB from 0 to 300 dB.
+    from logndiv import asymptotics
+    from logndiv.channel import ChannelSpec, derive_params
+
+    params = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
+    zs = [0.5 * math.log(3 * 10.0 ** (db / 10.0) / 1000.0) - 1.0 for db in range(0, 301, 10)]
+    pts = []
+    for c in (1.0, 0.5):
+        firsts, second, _ = asymptotics._ncx2_arms(3, params.w, 1.0, zs, c)
+        pts += [(3.0, a * a, second * second) for a in firsts if second < a]
+    return pts
+
+
+# Where ln P is large the other terms' rounding is well under an ulp of it,
+# so with d^2 in two parts the series lands within one rounding unit.
+def test_deep_pinned_points_are_within_one_ulp_of_mpmath():
+    deep = 0
+    for k, lam, x in _pinned_combiner_points():
+        ref = ncx2_cdf_ln_bessel(k, lam, x)
+        if abs(ref) >= 8.0:
+            deep += 1
+            assert abs(noncentral_chi2_cdf_log(k, lam, x) - ref) <= math.ulp(ref)
+    assert deep >= 40
