@@ -91,6 +91,34 @@ def test_a_bad_pair_is_refused_before_either_route(lam, x, monkeypatch):
     assert seen == []
 
 
+@pytest.mark.parametrize("lam,x", [(0.0, 3.0), (2.0, 0.0), (0.0, 0.0), (0.0, 5e-324)])
+def test_a_pair_at_lam_or_x_zero_takes_neither_route(lam, x, monkeypatch):
+    seen = _routes(monkeypatch)
+    got = noncentral_chi2_cdf_log(3.0, lam, x)
+    assert seen == []
+    assert (got == -math.inf) == (x == 0.0)
+
+
+@pytest.mark.parametrize("k,lam,x", [(16.0, 16.0, 16.0), (380.0, 380.0, 380.0),
+                                     (2000.0, 2000.0, 2000.0), (16.0, 1e6, 2e6),
+                                     (16.0, 1.5e6, 2e6), (2.0, 3.0, 4.0)])
+def test_a_first_window_spans_its_stated_terms(k, lam, x, monkeypatch):
+    # At x >= lam the first window holds sqrt(92 r) + 50 terms on each side
+    # of max(r - s, 0), cut at m = 0; k = lam = x = 380 and 2000 then widen.
+    seen = []
+    terms = special_fn._ncx2_block_terms
+
+    def spy(s, y, h, m0, m1):
+        seen.append((m0, m1))
+        return terms(s, y, h, m0, m1)
+
+    monkeypatch.setattr(special_fn, "_ncx2_block_terms", spy)
+    noncentral_chi2_cdf_log(k, lam, x)
+    r = max(0.5 * x, 0.5 * math.sqrt(x * lam))
+    centre, half = max(int(r - 0.5 * k), 0), int(math.sqrt(92.0 * r)) + 50
+    assert seen[0] == (max(centre - half, 0), centre + half + 1)
+
+
 def test_a_long_grid_sets_every_point():
     # 30 001 EGC points over 0:300:0.01 dB, each one kernel call.
     spec = ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0)
