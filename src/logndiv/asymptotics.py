@@ -37,6 +37,7 @@ Conventions shared by every function here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,9 +83,19 @@ def _below_regime(name: str, ln_min_er: float) -> BelowAsymptoticRegimeError:
         ln_min_er)
 
 
+def _ln_power_ratio(L: int, er: float, gamma_th: float) -> float:
+    """ln(L Er / gamma_th) for Er and gamma_th finite and > 0: the log of the
+    quotient where that is a normal float, and ln L + ln Er - ln gamma_th
+    where the quotient would underflow or overflow."""
+    r = L * er / gamma_th
+    if sys.float_info.min <= r < math.inf:
+        return math.log(r)
+    return math.log(L) + math.log(er) - math.log(gamma_th)
+
+
 def _sc_z(q: OutageQuery, sigma_g: float) -> float:
     # Validity region of the SC form: ln sqrt(Er/gamma_th) > sigma_G^2.
-    z = 0.5 * math.log(q.er / q.gamma_th) - sigma_g ** 2
+    z = 0.5 * _ln_power_ratio(1, q.er, q.gamma_th) - sigma_g ** 2
     if z <= 0.0:
         raise _below_regime("SC", math.log(q.gamma_th) + 2.0 * sigma_g ** 2)
     return z
@@ -159,7 +170,7 @@ def _combiner_curve_ln(params: DerivedParams, gamma_th: float, ers, c: float,
     or, at a point below the regime, the curve's one
     BelowAsymptoticRegimeError: the bound does not depend on Er."""
     L, sigma_g = params.L, params.sigma_G
-    zs = [0.5 * math.log(L * er / gamma_th) - sigma_g ** 2 for er in ers]
+    zs = [0.5 * _ln_power_ratio(L, er, gamma_th) - sigma_g ** 2 for er in ers]
     firsts, second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, zs, c)
     below = (_below_regime(name, math.log(gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))
              if any(a <= 0.0 for a in firsts) else None)
@@ -169,7 +180,7 @@ def _combiner_curve_ln(params: DerivedParams, gamma_th: float, ers, c: float,
 
 def _combiner_ln(params: DerivedParams, q: OutageQuery, c: float, name: str) -> float:
     L, sigma_g = params.L, params.sigma_G
-    z = 0.5 * math.log(L * q.er / q.gamma_th) - sigma_g ** 2
+    z = 0.5 * _ln_power_ratio(L, q.er, q.gamma_th) - sigma_g ** 2
     (first,), second, z_edge = _ncx2_arms(L, _weight(params), sigma_g, (z,), c)
     if first <= 0.0:
         raise _below_regime(name, math.log(q.gamma_th / L) + 2.0 * (sigma_g ** 2 + z_edge))

@@ -15,18 +15,24 @@ The average received electrical power is Er = E[exp(2 G_l)]
 Everything downstream is written in w = 1/a in [0, 1]. rho = 0 has no
 finite mixing weight; it is the point w = 0 of the same expressions, for
 the closed forms and for the sampler alike (where the mix is the identity).
+
+Only the sampler needs numpy, and it imports it on its first call, so the
+channel model and its checks cost the closed forms no numpy import. An
+integer argument is any numbers.Integral, numpy's integers included.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import DomainError
+
+if TYPE_CHECKING:   # imported by the sampler, so that the closed forms do not pay for it
+    import numpy as np
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -81,8 +87,8 @@ def log_det_mixing(a: float, L: int) -> float:
 
 def _check_branches(L: int, minimum: int = 1) -> None:
     # Every form computes with float(L), which is exact up to 2^53.
-    if not (isinstance(L, (int, np.integer)) and minimum <= L <= 2 ** 53):
-        big = isinstance(L, (int, np.integer)) and abs(L) > 2 ** 53   # shown by size, not digits
+    if not (isinstance(L, numbers.Integral) and minimum <= L <= 2 ** 53):
+        big = isinstance(L, numbers.Integral) and abs(L) > 2 ** 53   # shown by size, not digits
         shown = f"a {int(L).bit_length()}-bit integer" if big else repr(L)
         raise DomainError(f"branch count must be an integer in [{minimum}, 2^53], got {shown}")
 
@@ -225,6 +231,8 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     """Substream for one batch: PCG64 seeded by SeedSequence(seed & 2^64-1,
     spawn_key=(batch_index,)). This derivation rule is the reproducibility
     contract; merging batch counts is order-independent."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=int(seed) & _U64, spawn_key=(int(batch_index),))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -237,7 +245,7 @@ def iter_latent_batches(params: DerivedParams, n: int, seed: int) -> Iterator[np
     reduction over branches runs across contiguous rows. A channel of more
     than MAX_BATCH_VALUES branches, whose one row could not be drawn whole,
     is refused before anything is drawn."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (isinstance(n, numbers.Integral) and n >= 1):
         raise DomainError(f"sample count must be an integer >= 1, got {n!r}")
     L, w = params.L, params.w
     if L > MAX_BATCH_VALUES:

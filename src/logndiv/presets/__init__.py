@@ -8,8 +8,6 @@ import math
 from importlib import resources
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from ..asymptotics import _outage_curve, _sum_cdf_curve
 from ..baselines import fenton_wilkinson_cdf
 from ..channel import ChannelSpec, derive_params
@@ -102,6 +100,8 @@ def simulated_curves(spec: ChannelSpec, schemes: list[SchemeKind], gamma_th: flo
 
 
 def _y_grid(cfg: dict) -> list[float]:
+    import numpy as np
+
     n = int(cfg["points"])
     if n < 1:
         raise DomainError("y grid needs at least one point")

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:   # imported by the MRC sum, so that the closed forms do not pay for it
+    import numpy as np
 
 # MRC squares its gains this many values at a time, so that it never holds a
 # second batch-sized array (8 MiB of float64).
@@ -39,6 +41,8 @@ def combiner_snr(scheme: SchemeKind, gains: np.ndarray) -> np.ndarray:
         s = gains.sum(axis=1)
         return s * s / gains.shape[1]
     if scheme is SchemeKind.MRC:
+        import numpy as np
+
         # Parts of two rows or more: numpy sums a lone row in another order.
         m = gains.shape[0]
         parts = max(min(gains.size // _SQUARE_VALUES, m // 2), 1)

@@ -29,16 +29,25 @@ erfcx(u) = e^(u^2) erfc(u). In place of Cody's rational approximations
 (1969, Math. Comp. 23) that is a Chebyshev series in a variable that maps
 [0, inf] onto [-1, 1], whose constants the tests rebuild from 50-digit
 mpmath values.
+
+numpy is imported inside the functions that build arrays, on their first
+call: the Ding window, log_ndtr on an array, and _log_poisson above n = 15.
+The Gaussian tails, the Bessel series and the incomplete gamma at small
+shapes run on the standard library alone, and so does every closed-form
+point below the noncentrality.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SeriesCapError
+
+if TYPE_CHECKING:   # imported where arrays are built, so that scalar calls do not pay for it
+    import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -49,7 +58,7 @@ _LOG_NDTR_SERIES_BELOW = -37.0
 # maps u in [0, inf] onto [-1, 1]: the 64-point discrete cosine transform of
 # 50-digit values at the Chebyshev points of the first kind, cut where the
 # terms fall below 5e-19; the first term left out is 4.5e-20.
-_ERFCX_CHEB = np.array([
+_ERFCX_CHEB = (
     0.5179471454046054, -0.3236300300969295, 0.11488814345673667,
     -0.03390511136270618, 0.008086958537489483, -0.0014378994589760406,
     0.00013665682930694058, 1.7888902672606732e-05, -1.1228339227009215e-05,
@@ -58,7 +67,7 @@ _ERFCX_CHEB = np.array([
     4.1884706050620646e-11, -8.948666398409147e-13, -1.2100847972276042e-12,
     1.170485902610902e-13, 3.246188858928777e-14, -5.6315172324908135e-15,
     -8.984217650669094e-16, 2.3057807285642845e-16, 2.780576169670389e-17,
-    -9.105637786314243e-18, -1.0217878720726442e-18, 3.587581941690529e-19])
+    -9.105637786314243e-18, -1.0217878720726442e-18, 3.587581941690529e-19)
 
 # Incomplete-gamma iteration controls.
 _EPS = 1e-16
@@ -120,18 +129,22 @@ def _erfcx_nonneg(u: np.ndarray) -> np.ndarray:
     """erfcx(u) for an array of u >= 0, u = inf included. With t = cos(theta),
     T_k(t) = cos(k theta) = Re z^k for z = t + i sin(theta), so one complex
     cumulative product gives every Chebyshev polynomial of the series."""
+    import numpy as np
+
     t = 1.0 - 8.0 / (u + 4.0)   # (u - 4)/(u + 4), and exactly 1 at u = inf
-    z = np.empty((_ERFCX_CHEB.size, t.size), complex)
+    z = np.empty((len(_ERFCX_CHEB), t.size), complex)
     z[0] = 1.0
     z[1:] = t + 1j * np.sqrt(1.0 - t * t)
     np.multiply.accumulate(z, axis=0, out=z)
-    return (_ERFCX_CHEB @ z.real) / (1.0 + 0.5 * u)
+    return (np.array(_ERFCX_CHEB) @ z.real) / (1.0 + 0.5 * u)
 
 
 def log_ndtr_mills(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ln Phi(a), phi(a)/Phi(a)) for a 1-D array a, from one erfcx pass at
     u = |a|/sqrt 2. Phi(a) is e^(-u^2) erfcx(u)/2 for a < 0 and one minus that
     for a >= 0, so neither value cancels, however far out a lies."""
+    import numpy as np
+
     u = np.abs(a) * (1.0 / _SQRT2)
     ex = _erfcx_nonneg(u)
     neg = a < 0.0
@@ -143,11 +156,18 @@ def log_ndtr_mills(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ln_phi, mills
 
 
+def _is_array(a) -> bool:
+    """Whether a is a numpy array, asked without importing numpy: before
+    numpy is loaded no array can exist."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(a, np.ndarray)
+
+
 def log_ndtr(a):
     """ln Phi(a), the standard normal log-CDF, for a float or a 1-D numpy
     array. It keeps full relative accuracy where Phi underflows (a below
     about -38) and where ln Phi rounds toward 0 (a above about 8)."""
-    if isinstance(a, np.ndarray):
+    if _is_array(a):
         return log_ndtr_mills(a)[0]
     if a >= _LOG_NDTR_SERIES_BELOW:
         return (math.log(0.5 * math.erfc(-a / _SQRT2)) if a < 0.0
@@ -291,9 +311,12 @@ def _log_poisson(n, mean):
     numpy arrays that broadcast together. Above n = 15 in Loader's
     saddle-point form -stirlerr - bd0 - ln(2 pi n)/2, whose rounding error
     is near eps*|n - mean|, not the eps*n*ln(n) of lgamma."""
-    if not isinstance(n, np.ndarray):
-        if n <= 15.0:
-            return n * math.log(mean) - mean - math.lgamma(n + 1.0)
+    scalar = not _is_array(n)
+    if scalar and n <= 15.0:
+        return n * math.log(mean) - mean - math.lgamma(n + 1.0)
+    import numpy as np
+
+    if scalar:
         # The array form below, step for step on one value: numpy's log and
         # log1p, and float arithmetic, which rounds as numpy's does.
         d = n - mean
@@ -327,6 +350,8 @@ def _ncx2_block_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndar
     numpy pass. C at m0 is one incomplete gamma, ln Q(m0 + 1, h), or the
     first Poisson term e^-h at m0 = 0, and numpy log-adds the Poisson terms
     past it. The caller keeps a pass within _NCX2_CHUNK terms."""
+    import numpy as np
+
     # Row 0: the Poisson(h) terms at m; row 1: the gamma density at s + m.
     m = np.empty((2, m1 - m0))
     m[0] = np.arange(m0, m1, dtype=float)
@@ -357,6 +382,8 @@ def _ncx2_window_log(k: float, lam: float, x: float) -> float:
     found and its half-width doubled; once both are, the terms are summed
     as e^(t - peak), and ln P is clamped at 0. A window that would grow
     past _NCX2_MAX_TERMS terms is refused."""
+    import numpy as np
+
     s, y, h = 0.5 * k, 0.5 * x, 0.5 * lam
     r = max(y, math.sqrt(y * h))
     centre, half = max(int(r - s), 0), int(math.sqrt(92.0 * r)) + 50

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .asymptotics import (OutageQuery, egc_outage_asym_log10, mrc_outage_asym_log10,
                           sc_outage_asym, sc_outage_asym_latent, sc_outage_asym_log10)
 from .channel import ChannelSpec, DerivedParams, a_from_rho, derive_params
@@ -61,6 +59,8 @@ def run_lemma() -> list[CheckResult]:
 
 
 def run_kkt() -> list[CheckResult]:
+    import numpy as np
+
     from . import oracles
 
     results = []

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import re
 
 import pytest
@@ -362,6 +363,38 @@ def test_regime_edge_beyond_float_range_is_annotated(scheme, tmp_path):
 
 _ASYMPTOTIC = ["asymptotic", "--L", "2", "--rho", "0.5", "--sigma-g", "0.8", "--gamma-th", "0.1",
                "--scheme", "sc", "--er-db", "0:10:5"]
+
+
+@pytest.mark.parametrize("scheme", ["sc", "egc", "mrc"])
+def test_power_ratio_below_the_float_range_is_annotated(scheme, tmp_path):
+    # Er/gamma_th reaches 1e-610, which a float quotient would round to 0.
+    out = tmp_path / "low.csv"
+    assert main(["asymptotic", "--L", "3", "--rho", "0.5", "--sigma-g", "1", "--gamma-th", "1e300",
+                 "--scheme", scheme, "--er-db=-3100:0:1000", "--out", str(out)]) == 0
+    curves, points = _points(out)
+    assert [x for x, _, _ in points] == [-3100.0, -2100.0, -1100.0, -100.0]
+    assert all(v is None and note.startswith("below_asymptotic_regime;min_er_db=")
+               for _, v, note in points)
+
+
+@pytest.mark.parametrize("scheme", ["sc", "egc", "mrc"])
+def test_power_ratio_above_the_float_range_is_evaluated(scheme, tmp_path):
+    # Er/gamma_th reaches 1e600, which a float quotient would round to inf.
+    out = tmp_path / "high.csv"
+    assert main(["asymptotic", "--L", "3", "--rho", "0.5", "--sigma-g", "1", "--gamma-th", "1e-300",
+                 "--scheme", scheme, "--er-db", "0:3100:1000", "--out", str(out)]) == 0
+    _, points = _points(out)
+    assert [(x, v, note) for x, v, note in points] == [
+        (x, 0.0, "") for x in (0.0, 1000.0, 2000.0, 3000.0)]
+    from logndiv import asymptotics
+    from logndiv.channel import ChannelSpec, derive_params
+    params = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
+    log10 = getattr(asymptotics, f"{scheme}_outage_asym_log10")
+    lgs = [log10(params, asymptotics.OutageQuery(1e-300, 10.0 ** (db / 10.0)))
+           for db in (0, 1000, 2000, 3000)]
+    assert all(a > b > -math.inf for a, b in zip(lgs, lgs[1:]))
+    if scheme == "egc":
+        assert lgs[-1] == pytest.approx(-155227.3, abs=0.05)
 
 
 @pytest.mark.parametrize("argv", [

@@ -84,11 +84,11 @@ def _chebyshev_constants() -> list[float]:
             u = 4 * (1 + t) / (1 - t)
             values.append(mp.exp(u * u) * mp.erfc(u) * (1 + u / 2))
         coef = []
-        for k in range(special_fn._ERFCX_CHEB.size):
+        for k in range(len(special_fn._ERFCX_CHEB)):
             c = mp.fsum(v * mp.cos(k * th) for v, th in zip(values, thetas)) * 2 / n
             coef.append(float(c / 2 if k == 0 else c))
     return coef
 
 
 def test_chebyshev_constants_rebuild_from_mpmath():
-    assert _chebyshev_constants() == special_fn._ERFCX_CHEB.tolist()
+    assert _chebyshev_constants() == list(special_fn._ERFCX_CHEB)
