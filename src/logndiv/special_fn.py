@@ -32,9 +32,9 @@ mpmath values.
 
 numpy is imported inside the functions that build arrays, on their first
 call: the Ding window, log_ndtr on an array, and _log_poisson above n = 15.
-The Gaussian tails, the Bessel series and the incomplete gamma at small
-shapes run on the standard library alone, and so does every closed-form
-point below the noncentrality.
+The Gaussian tails, the Bessel series, the incomplete gamma up to shape 15
+and log_ndtr on a float run on the standard library alone, and so does
+every noncentral chi-squared point that takes the Bessel series.
 """
 
 from __future__ import annotations
