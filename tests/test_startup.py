@@ -132,7 +132,8 @@ def test_optimiser_suite_still_runs_from_a_fresh_process(tmp_path):
 
 def test_closed_form_commands_load_no_numpy(tmp_path):
     commands = [["figure", "fig4"], ["figure", "fig5"], ["figure", "fig6"],
-                *[_ASYMPTOTIC[:-3] + [s] + _ASYMPTOTIC[-2:] for s in ("sc", "egc", "mrc")]]
+                *[_ASYMPTOTIC[:-3] + [s] + _ASYMPTOTIC[-2:] for s in ("sc", "egc", "mrc")],
+                ["verify", "--suite", "limits"]]
     out = _run_fresh(tmp_path, commands, _NUMPY_CHILD)
     assert out["codes"] == [0] * len(commands)
     assert out["numpy"] == [False] * (2 + len(commands))
