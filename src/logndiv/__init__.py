@@ -5,8 +5,8 @@ verification of the supporting geometry.
 
 The public names below are imported on first access (PEP 562), so that
 `import logndiv` costs nothing and the closed forms never load the Monte
-Carlo and quadrature modules they do not use. Only the optimiser checks of
-`verify` load scipy."""
+Carlo and quadrature modules they do not use. At run time the package needs
+numpy alone: no command loads scipy."""
 
 import importlib
 

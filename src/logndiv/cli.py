@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: asymptotic, simulate, sumcdf, verify, figure.
-Exit codes: 0 success, 2 usage, 3 domain/validity error, 4 verification
-failure. Output files are written atomically and are byte-identical for
-identical invocations. LOGNDIV_SEED overrides the default simulation seed.
+Exit codes: 0 success, 2 usage (an output path that cannot be written
+included), 3 domain/validity error, 4 verification failure. Output files are
+written atomically and are byte-identical for identical invocations.
+LOGNDIV_SEED overrides the default simulation seed.
 """
 
 from __future__ import annotations
@@ -58,16 +59,23 @@ def _parse_grid(text: str, what: str) -> dict:
     return {"start": start, "stop": stop, "step": step}
 
 
+class _UnwritableOutput(Exception):
+    """An output path that cannot be written: a usage error (exit 2)."""
+
+
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".logndiv-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".logndiv-")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -233,6 +241,9 @@ def main(argv=None) -> int:
     except LogndivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _UnwritableOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -227,16 +227,97 @@ class NearestPointReport:
     objective: float        # squared distance to the mean at the numeric point
 
 
+def _sc_nearest(a: float, c: float, mu: np.ndarray) -> Optional[np.ndarray]:
+    """Exact minimizer of |x - mu|^2 subject to g_l(x) <= c for every l, by
+    trying every active set S: its KKT point x = mu - A_S^T lam solves
+    A_S x = c, where the rows of A_S are the gradients of the g_l in S. The
+    nearest point that is feasible with lam >= 0 wins; None if none is."""
+    L = mu.size
+    grads = (a - 1.0) * np.eye(L) + 1.0
+    best = None
+    for mask in range(1 << L):
+        A = grads[[l for l in range(L) if mask >> l & 1]]
+        lam = np.linalg.solve(A @ A.T, A @ mu - c) if A.size else np.zeros(0)
+        x = mu - A.T @ lam
+        if lam.min(initial=0.0) < -1e-9 or _linear_forms(x, a).max() > c + 1e-9:
+            continue
+        if best is None or (x - mu) @ (x - mu) < (best - mu) @ (best - mu):
+            best = x
+    return best
+
+
+def _newton_starts(closed: np.ndarray, mu: np.ndarray, mu_X: float) -> list[np.ndarray]:
+    """The 8 starts of the EGC/MRC search: the closed form, two shifts of it
+    and five seeded perturbations."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20230817)))
+    starts = [closed.copy(), closed - 0.3, mu - abs(mu_X - closed[0])]
+    while len(starts) < 8:
+        starts.append(closed + rng.normal(0.0, 0.25, size=closed.size))
+    return starts
+
+
+def _kkt_newton(x0: np.ndarray, mu: np.ndarray, a: float, scale: float,
+                bound: float) -> Optional[tuple[np.ndarray, float]]:
+    """Newton from x0 on the KKT system of min |x - mu|^2 / 2 subject to
+    sum_l exp(scale * g_l(x)) = bound, with the constraint taken in its log
+    form h(x) = logsumexp(scale * g(x)) - ln(bound):
+
+        x - mu + lam * grad h(x) = 0,   h(x) = 0.
+
+    h is convex like the sum, but its gradient neither vanishes deep inside
+    the region nor blows up outside it. A step is halved until it lowers the
+    residual norm. Returns (x, lam) once a full step falls below 1e-14
+    relative, None if no step lowers the residual."""
+    L = x0.size
+    A = (a - 1.0) * np.eye(L) + 1.0     # symmetric: g = A x
+    ln_bound = math.log(bound)
+
+    def residual(z):
+        sg = scale * _linear_forms(z[:L], a)
+        top = sg.max()
+        p = np.exp(sg - top)
+        q = p / p.sum()
+        grad = scale * (A @ q)
+        return np.append(z[:L] - mu + z[L] * grad, top + math.log(p.sum()) - ln_bound), q, grad
+
+    grad = residual(np.append(x0, 0.0))[2]
+    z = np.append(x0, (mu - x0) @ grad / (grad @ grad))     # least-squares multiplier
+    F, q, grad = residual(z)
+    for _ in range(100):
+        J = np.zeros((L + 1, L + 1))
+        J[:L, :L] = np.eye(L) + z[L] * scale * scale * (A * q - np.outer(A @ q, q)) @ A
+        J[:L, L] = J[L, :L] = grad
+        try:
+            dz = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return None
+        if np.linalg.norm(dz) <= 1e-14 * (1.0 + np.linalg.norm(z)):
+            z = z + dz
+            return z[:L], float(z[L])
+        norm, t = np.linalg.norm(F), 1.0
+        while True:
+            F_t, q_t, grad_t = residual(z + t * dz)
+            if np.linalg.norm(F_t) < norm:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return None
+        z, F, q, grad = z + t * dz, F_t, q_t, grad_t
+    return None
+
+
 def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
                           mu_X: float) -> NearestPointReport:
-    """Minimize |x - mu_X*1|^2 subject to the outage-region constraint by
-    SLSQP from 8 starts, then compare against the closed form.
+    """Minimize |x - mu_X*1|^2 subject to the outage-region constraint, then
+    compare against the closed form.
 
-    The SC region is handed to the solver as its L equivalent linear
-    constraints (the max in the indicator is not smooth); feasibility of the
-    winner is still checked through region_indicator itself, to 1e-9.
+    SC: the region is its L linear constraints g_l(x) <= ln sqrt(gamma_th)
+    (the max in the indicator is not smooth), solved exactly by trying all
+    2^L active sets. EGC/MRC: Newton on the KKT system of the one smooth
+    constraint from 8 starts; the constraint is convex, so every start that
+    converges with a multiplier >= 0 finds the one minimizer. Feasibility of
+    the winner is still checked through region_indicator itself, to 1e-9.
     """
-    from scipy import optimize
     if L > 4:
         raise DomainError("constrained searches are desk-scale: L <= 4")
     if not a > 1.0:
@@ -249,42 +330,20 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
         d = x - mu
         return float(d @ d)
 
-    def grad(x):
-        return 2.0 * (x - mu)
-
     if scheme is SchemeKind.SC:
-        constraints = [{
-            "type": "ineq",
-            "fun": (lambda x, l=l: c - float(_linear_forms(x, a)[l])),
-            "jac": (lambda x, l=l: -((a - 1.0) * np.eye(L)[l] + np.ones(L))),
-        } for l in range(L)]
+        candidates = [_sc_nearest(a, c, mu)]
+    elif region_indicator(scheme, mu, a, gamma_th) <= 0.0:
+        candidates = [mu]     # the mean lies in the region
     else:
         bound = math.sqrt(L * gamma_th) if scheme is SchemeKind.EGC else gamma_th
         scale = 1.0 if scheme is SchemeKind.EGC else 2.0
-
-        def con(x):
-            return bound - float(np.exp(scale * _linear_forms(x, a)).sum())
-
-        def con_jac(x):
-            e = np.exp(scale * _linear_forms(x, a))
-            return -scale * ((a - 1.0) * e + e.sum() * np.ones(L))
-
-        constraints = [{"type": "ineq", "fun": con, "jac": con_jac}]
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20230817)))
-    starts = [closed.copy(), closed - 0.3, mu - abs(mu_X - closed[0])]
-    while len(starts) < 8:
-        starts.append(closed + rng.normal(0.0, 0.25, size=L))
+        found = (_kkt_newton(x0, mu, a, scale, bound)
+                 for x0 in _newton_starts(closed, mu, mu_X))
+        candidates = [x for x, lam in filter(None, found) if lam >= 0.0]
 
     best = None
-    for x0 in starts:
-        res = optimize.minimize(objective, x0, jac=grad, method="SLSQP",
-                                constraints=constraints,
-                                options={"ftol": 1e-14, "maxiter": 500})
-        if not res.success:
-            continue
-        x = np.asarray(res.x, dtype=float)
-        if region_indicator(scheme, x, a, gamma_th) > 1e-9:
+    for x in candidates:
+        if x is None or region_indicator(scheme, x, a, gamma_th) > 1e-9:
             continue
         if best is None or objective(x) < objective(best):
             best = x
@@ -459,6 +518,31 @@ class DerivativeCheckReport:
     max_abs_error: float
 
 
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """Root of an increasing f with f(lo) < 0 < f(hi), in plain floats: Newton
+    steps from the midpoint, each point narrowing the bracket, and a
+    bisection wherever a step would leave it. It stops where a step no longer
+    moves the point or the bracket holds no float between its ends. f
+    returns its value and slope."""
+    x = 0.5 * (lo + hi)
+    while True:
+        v, slope = f(x)
+        if v < 0.0:
+            lo = x
+        elif v > 0.0:
+            hi = x
+        else:
+            return x
+        nxt = x - v / slope
+        if nxt == x:
+            return x
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return x
+        x = nxt
+
+
 def _richardson(f) -> float:
     return (4.0 * f(0.5e-4) - f(1e-4)) / 3.0
 
@@ -472,7 +556,6 @@ def implicit_derivative_check(a: float, L: int, gamma_th: float) -> DerivativeCh
     Expected values: first derivative -1; second derivatives
     -(1-a)^2 * (1 + [m = n]) / (L - 1 + a).
     """
-    from scipy import optimize
     if not a > 1.0:
         raise DomainError(f"derivative check requires a > 1, got {a!r}")
     if L < 2:
@@ -484,20 +567,23 @@ def implicit_derivative_check(a: float, L: int, gamma_th: float) -> DerivativeCh
     radius = shift * math.sqrt(L)
 
     def x1_exact(rest: np.ndarray) -> float:
-        def phi(x1: float) -> float:
-            x = np.concatenate(([x1], rest))
-            return float(np.exp(_linear_forms(x, a)).sum() - target)
+        r = rest.tolist()
+        s = math.fsum(r)
+
+        def phi(x1: float) -> tuple[float, float]:
+            # sum_l exp(g_l) - target and its slope in x1, with g_l = (a-1) x_l + sum(x).
+            e = [math.exp((a - 1.0) * v + (x1 + s)) for v in [x1] + r]
+            total = math.fsum(e)
+            return total - target, total + (a - 1.0) * e[0]
 
         lo, hi = x_nst - 1.0, x_nst + 1.0
-        flo, fhi = phi(lo), phi(hi)
         for _ in range(60):
-            if flo < 0.0 < fhi:
+            if phi(lo)[0] < 0.0 < phi(hi)[0]:
                 break
             lo, hi = lo - 1.0, hi + 1.0
-            flo, fhi = phi(lo), phi(hi)
         else:
             raise SearchFailureError("could not bracket the EGC boundary root")
-        return float(optimize.brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        return _bracketed_root(phi, lo, hi)
 
     def x1_sphere(rest: np.ndarray) -> float:
         rad2 = radius * radius - float(((rest - center) ** 2).sum())
