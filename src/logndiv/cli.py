@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: asymptotic, simulate, sumcdf, verify, figure.
-Exit codes: 0 success, 2 usage (an output path that cannot be written
-included), 3 domain/validity error, 4 verification failure. Output files are
-written atomically and are byte-identical for identical invocations.
-LOGNDIV_SEED overrides the default simulation seed.
+Exit codes: 0 success, 2 usage (an unwritable output path too), 3
+domain/validity error, 4 verification failure. Output files are written
+atomically and are byte-identical for identical invocations. LOGNDIV_SEED
+overrides the default simulation seed.
 """
 
 from __future__ import annotations

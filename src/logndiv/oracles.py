@@ -550,8 +550,10 @@ def _richardson(f) -> float:
 def implicit_derivative_check(a: float, L: int, gamma_th: float) -> DerivativeCheckReport:
     """Differentiate x1 as an implicit function of the other coordinates on
     two surfaces through the shared EGC/MRC nearest point: the true EGC
-    boundary (root-solved) and the osculating hypersphere (explicit branch).
-    Central differences with one Richardson step at step 1e-4.
+    boundary, whose x1 is the root of sum_l exp(g_l) = sqrt(L*gamma_th) found
+    by _bracketed_root to the rounding of that sum, and the osculating
+    hypersphere (explicit branch). Central differences with one Richardson step at step
+    1e-4.
 
     Expected values: first derivative -1; second derivatives
     -(1-a)^2 * (1 + [m = n]) / (L - 1 + a).

@@ -498,3 +498,23 @@ def test_simulate_header_echoes_only_inputs(tmp_path):
     meta, _ = read_curves(io.StringIO(out.read_text()))
     assert sorted(meta) == sorted(["command", "gamma_th", "L", "rho", "samples", "scheme",
                                    "seed", "sigma_G"])
+
+
+_DEEP_EGC = ["asymptotic", "--L", "8", "--rho", "0.99", "--sigma-g", "1", "--gamma-th", "0.1",
+             "--scheme", "egc", "--er-db", "0:10:5"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (_DEEP_EGC, "missing/x.csv"),
+    (_DEEP_EGC, "a-directory"),
+    (["verify", "--suite", "limits"], "a-directory"),
+], ids=["missing-parent", "directory", "verify-directory"])
+def test_unwritable_out_is_one_line_usage_error(argv, target, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob(".logndiv-*")] == []
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from logndiv import oracles, verify_suites
 from logndiv.channel import a_from_rho
 from logndiv.errors import DomainError
 from logndiv.oracles import (DerivativeCheckReport, LemmaProbe, implicit_derivative_check,
@@ -14,6 +16,43 @@ from logndiv.asymptotics import single_branch_outage_exact
 from logndiv.schemes import SchemeKind
 
 A_HALF = a_from_rho(0.5, 2)
+
+
+def _smooth_constraint(scheme, L, gamma_th):
+    """(scale, bound) of the EGC/MRC region sum_l exp(scale * g_l) <= bound."""
+    return (1.0, math.sqrt(L * gamma_th)) if scheme is SchemeKind.EGC else (2.0, gamma_th)
+
+
+def _dense_boundary_nearest(mu, segments):
+    """Nearest point to the 2-D mean mu among boundary points x = A^-1 g(t),
+    for t on a 2001-node grid over each segment (g_of_t, lo, hi), refined
+    three times around its best node."""
+    a_inv = np.linalg.inv((A_HALF - 1.0) * np.eye(2) + 1.0)
+    best_x, best_d = None, math.inf
+    for g_of_t, lo, hi in segments:
+        for _ in range(4):
+            t = np.linspace(lo, hi, 2001)
+            x = g_of_t(t) @ a_inv.T
+            d = ((x - mu) ** 2).sum(axis=1)
+            i = int(np.argmin(d))
+            step = t[1] - t[0]
+            lo, hi = max(t[i] - 2.0 * step, lo), min(t[i] + 2.0 * step, hi)
+        if d[i] < best_d:
+            best_x, best_d = x[i], d[i]
+    return best_x
+
+
+def _boundary_segments(scheme, gamma_th):
+    """The L = 2 region boundary in the linear forms g, as curves over t."""
+    c = 0.5 * math.log(gamma_th)
+    if scheme is SchemeKind.SC:   # the two faces g1 = c and g2 = c
+        return [(lambda t: np.stack([t, np.full_like(t, c)], axis=1), -40.0, c),
+                (lambda t: np.stack([np.full_like(t, c), t], axis=1), -40.0, c)]
+    # exp(scale * g) = bound * (w, 1 - w) with w = 1 / (1 + exp(-t)).
+    scale, bound = _smooth_constraint(scheme, 2, gamma_th)
+    return [(lambda t: (math.log(bound) - np.stack([np.logaddexp(0.0, -t),
+                                                    np.logaddexp(0.0, t)], axis=1)) / scale,
+             -40.0, 40.0)]
 
 
 class TestExactScIndep:
@@ -231,6 +270,62 @@ class TestNearestPoint:
         with pytest.raises(DomainError):
             nearest_point_numeric(SchemeKind.SC, A_HALF, 5, 0.1, mu_X=5.0)
 
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("scheme", [SchemeKind.EGC, SchemeKind.MRC])
+    def test_every_start_reaches_the_minimizer_alone(self, scheme, L):
+        rep = nearest_point_numeric(scheme, A_HALF, L, 0.1, mu_X=5.0)
+        mu = np.full(L, 5.0)
+        scale, bound = _smooth_constraint(scheme, L, 0.1)
+        starts = oracles._newton_starts(rep.closed_form, mu, 5.0)
+        assert len(starts) == 8 and np.array_equal(starts[0], rep.closed_form)
+        for x0 in starts[1:]:
+            x, lam = oracles._kkt_newton(x0, mu, A_HALF, scale, bound)
+            assert lam > 0.0
+            assert np.abs(x - rep.numeric).max() < 1e-12
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_off_diagonal_mean_matches_a_dense_boundary_search(self, scheme):
+        # No closed form applies here: the minimizer is off the diagonal and,
+        # for SC, on one face only.
+        mu = np.array([6.0, -1.0])
+        c = 0.5 * math.log(0.1)
+        if scheme is SchemeKind.SC:
+            x = oracles._sc_nearest(A_HALF, c, mu)
+            g = oracles._linear_forms(x, A_HALF)
+            assert abs(g[0] - c) < 1e-12 and g[1] < c - 1.0
+        else:
+            scale, bound = _smooth_constraint(scheme, 2, 0.1)
+            start = nearest_point_closed(scheme, A_HALF, 2, 0.1)
+            x, lam = oracles._kkt_newton(start, mu, A_HALF, scale, bound)
+            assert lam > 0.0
+        assert x[0] - x[1] > 1.0
+        # A search over distances finds a flat minimum to about sqrt(eps) only.
+        dense = _dense_boundary_nearest(mu, _boundary_segments(scheme, 0.1))
+        assert np.abs(x - dense).max() < 1e-6
+
+    def test_mean_inside_the_region_is_its_own_nearest_point(self):
+        for scheme in SchemeKind:
+            rep = nearest_point_numeric(scheme, A_HALF, 3, 0.1, mu_X=-5.0)
+            assert np.array_equal(rep.numeric, np.full(3, -5.0))
+            assert rep.active_constraints == () and rep.objective == 0.0
+
+    def test_kkt_gap_check_fails_on_a_wrong_minimizer(self, monkeypatch):
+        # The SC closed point handed in as the EGC answer is 0.07 away.
+        real = oracles.nearest_point_numeric
+
+        def sc_point_for_egc(scheme, a, L, gamma_th, mu_X):
+            rep = real(scheme, a, L, gamma_th, mu_X)
+            if scheme is not SchemeKind.EGC:
+                return rep
+            x = nearest_point_closed(SchemeKind.SC, a, L, gamma_th)
+            return dataclasses.replace(rep, numeric=x,
+                                       distance_gap=float(np.linalg.norm(x - rep.closed_form)))
+
+        monkeypatch.setattr(oracles, "nearest_point_numeric", sc_point_for_egc)
+        failed = [r.name for r in verify_suites.run_kkt() if not r.passed]
+        assert failed == ["egc-closed-vs-numeric-L2", "egc-mrc-minimizers-coincide-L2",
+                          "egc-closed-vs-numeric-L3", "egc-mrc-minimizers-coincide-L3"]
+
 
 class TestLemmaRatio:
     def test_monotone_decay(self):
@@ -314,3 +409,11 @@ class TestImplicitDerivatives:
         rep = implicit_derivative_check(A_HALF, 3, 0.1)
         assert isinstance(rep, DerivativeCheckReport)
         assert rep.max_abs_error < 1e-4
+
+    @pytest.mark.parametrize("f, lo, hi, root", [
+        (lambda x: (x * x * x - 2.0, 3.0 * x * x), 0.0, 4.0, 2.0 ** (1.0 / 3.0)),
+        # Far from its root a Newton step on arctan leaves the bracket; bisection takes over.
+        (lambda x: (math.atan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)), -20.0, 30.0, 1.0),
+    ], ids=["cube-root", "arctan"])
+    def test_bracketed_root_lands_within_an_ulp(self, f, lo, hi, root):
+        assert abs(oracles._bracketed_root(f, lo, hi) - root) <= math.ulp(root)

@@ -1,7 +1,7 @@
-"""Start-up cost: the package surface resolves lazily, only the verify
-suites that run an optimiser load scipy, and the closed forms below the
-noncentrality load no numpy. scipy and numpy are already loaded in the test
-process, so the import checks run in a fresh interpreter."""
+"""Start-up cost: the package surface resolves lazily, no command loads
+scipy, and the closed forms below the noncentrality load no numpy. scipy and
+numpy are already loaded in the test process, so the import checks run in a
+fresh interpreter."""
 
 import json
 import os
@@ -128,6 +128,13 @@ def test_quadrature_and_monte_carlo_commands_load_no_scipy(tmp_path):
 
 def test_optimiser_suite_still_runs_from_a_fresh_process(tmp_path):
     assert _run_fresh(tmp_path, [["verify", "--suite", "kkt"]])["codes"] == [0]
+
+
+def test_optimiser_suites_load_no_scipy(tmp_path):
+    commands = [["verify", "--suite", s] for s in ("kkt", "derivatives", "all")]
+    out = _run_fresh(tmp_path, commands)
+    assert out["codes"] == [0] * len(commands)
+    assert out["scipy"] == []
 
 
 def test_closed_form_commands_load_no_numpy(tmp_path):
