@@ -267,7 +267,8 @@ def _kkt_newton(x0: np.ndarray, mu: np.ndarray, a: float, scale: float,
     h is convex like the sum, but its gradient neither vanishes deep inside
     the region nor blows up outside it. A step is halved until it lowers the
     residual norm. Returns (x, lam) once a full step falls below 1e-14
-    relative, None if no step lowers the residual."""
+    relative; None if the system turns singular, no step lowers the
+    residual, or 100 steps do not settle."""
     L = x0.size
     A = (a - 1.0) * np.eye(L) + 1.0     # symmetric: g = A x
     ln_bound = math.log(bound)
