@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .channel import _check_branches
 from .errors import DomainError
 from .special_fn import gaussian_q
 
@@ -57,8 +58,7 @@ def fenton_wilkinson_cdf(L: int, rho: float, mu_G: float, sigma_G: float, y: flo
 
 
 def _check(L: int, rho: float, sigma_G: float) -> None:
-    if not (isinstance(L, int) and L >= 1):
-        raise DomainError(f"branch count must be an integer >= 1, got {L!r}")
+    _check_branches(L)
     if not (math.isfinite(rho) and 0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
     if not (math.isfinite(sigma_G) and sigma_G > 0.0):

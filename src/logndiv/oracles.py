@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .asymptotics import single_branch_outage_exact
-from .channel import _U64
+from .channel import _U64, _check_branches
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
 from .special_fn import log_ndtr, log_ndtr_mills, reg_gamma_upper_log
@@ -39,8 +39,7 @@ _LN_HALF_TINY = -1075.0 * math.log(2.0)
 def sc_outage_exact_indep(L: int, mu_G: float, sigma_G: float, gamma_th: float) -> float:
     """Exact SC outage over independent branches: the one-branch lognormal
     CDF raised to the L-th power."""
-    if not (isinstance(L, (int, np.integer)) and L >= 1):
-        raise DomainError(f"branch count must be an integer >= 1, got {L!r}")
+    _check_branches(L)
     return single_branch_outage_exact(mu_G, sigma_G, gamma_th) ** L
 
 

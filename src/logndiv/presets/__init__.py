@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from importlib import resources
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..asymptotics import _outage_curve, _sum_cdf_curve
+from ..asymptotics import OutageQuery, outage_asym, sum_lognormal_cdf_asym
 from ..baselines import fenton_wilkinson_cdf
 from ..channel import ChannelSpec, derive_params
 from ..curves import Curve, CurvePoint
@@ -51,13 +52,15 @@ def er_grid_from(cfg: dict) -> list[float]:
         raise DomainError(f"grid {cfg!r} reaches past the largest float in watts") from None
 
 
-def _closed_form_point(x: float, value, below_note: Callable[[BelowAsymptoticRegimeError], str]
-                       ) -> CurvePoint:
-    """One closed-form point from its value, or from the error of a point
+def _closed_form_point(x: float, evaluate: Callable[[], float],
+                       below_note: Callable[[BelowAsymptoticRegimeError], str]) -> CurvePoint:
+    """One closed-form point from evaluate(), or from the error it raises
     below the validity region (note from below_note). Such a point, and one
     where the raw approximation exceeds 1, is annotated, not dropped."""
-    if isinstance(value, BelowAsymptoticRegimeError):
-        return CurvePoint(x=x, outage=None, note=below_note(value))
+    try:
+        value = evaluate()
+    except BelowAsymptoticRegimeError as exc:
+        return CurvePoint(x=x, outage=None, note=below_note(exc))
     if value > 1.0:
         return CurvePoint(x=x, outage=None, note=f"above_unity;raw={value:.6e}")
     return CurvePoint(x=x, outage=value)
@@ -79,9 +82,11 @@ def asymptotic_curve(spec: ChannelSpec, scheme: SchemeKind, gamma_th: float,
                      er_grid: list[float], label: Optional[str] = None) -> Curve:
     """Closed-form curve over an Er grid. At L = 1 every scheme is the exact
     lognormal CDF, so that curve's source is 'exact'."""
-    values = _outage_curve(derive_params(spec), scheme, gamma_th, er_grid)
-    pts = tuple(_closed_form_point(10.0 * math.log10(er), v, _below_er)
-                for er, v in zip(er_grid, values))
+    params = derive_params(spec)
+    qs = [OutageQuery(gamma_th, er) for er in er_grid]   # every point's input checks first
+    pts = tuple(_closed_form_point(10.0 * math.log10(q.er),
+                                   partial(outage_asym, params, scheme, q), _below_er)
+                for q in qs)
     return Curve(label=label or f"{scheme.value}-asym-L{spec.L}-rho{spec.rho:g}",
                  scheme=scheme.value, source="exact" if spec.L == 1 else "asymptotic",
                  L=spec.L, rho=spec.rho, sigma_G=spec.sigma_G, gamma_th=gamma_th, points=pts)
@@ -121,10 +126,10 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
     sources = {"asym": "asymptotic", "fw": "baseline", "quadrature": "exact"}
     if method not in sources:
         raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")
+    ChannelSpec(L=L, rho=rho, sigma_G=sigma_G, mu_G=mu_G)   # one channel check for every method
     if method == "asym":
-        values = _sum_cdf_curve(L, rho, mu_G, sigma_G, y_grid)
-        pts = [_closed_form_point(y, v, lambda exc: "beyond_tail_region")
-               for y, v in zip(y_grid, values)]
+        pts = [_closed_form_point(y, partial(sum_lognormal_cdf_asym, L, rho, mu_G, sigma_G, y),
+                                  lambda exc: "beyond_tail_region") for y in y_grid]
     elif method == "fw":
         pts = [CurvePoint(x=y, outage=fenton_wilkinson_cdf(L, rho, mu_G, sigma_G, y))
                for y in y_grid]

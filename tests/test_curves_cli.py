@@ -242,6 +242,7 @@ def _flag(argv, flag, value):
     _flag(_flag(_SUMCDF, "--sigma-g", "1e200"), "--method", "fw"),
     _flag(_flag(_SUMCDF, "--mu-g", "1e300"), "--method", "fw"),
     _flag(_flag(_SUMCDF, "--y", "0:0.2:0.1"), "--method", "fw"),
+    _flag(_flag(_SUMCDF, "--rho", "1"), "--method", "fw"),
     ["figure", "fig7", "--samples", "1000"],
     ["figure", "fig4", "--samples", "0"],
     ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "5", "--sigma-g", "1e-10",
@@ -249,7 +250,7 @@ def _flag(argv, flag, value):
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
-        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "sumcdf-preset-samples",
+        "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "fw-rho1", "sumcdf-preset-samples",
         "outage-preset-zero-samples", "quadrature-peak-missed"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"

@@ -1,7 +1,8 @@
-"""The EGC/MRC curve form against the per-point functions, bit for bit:
-each point of a curve goes through the same noncentral chi-squared kernel
-call, and the points below the regime share one error. Also the kernel's
-refusals, which come before either of its routes, and a long curve grid."""
+"""Closed-form curves against the per-point functions, bit for bit: each
+point of an EGC/MRC outage curve or of an asymptotic sum-CDF curve is the
+per-point value, or carries the note of the per-point error. Also the
+kernel's refusals, which come before either of its routes, and a long curve
+grid."""
 
 import math
 
@@ -13,7 +14,7 @@ from logndiv import asymptotics, special_fn
 from logndiv.asymptotics import OutageQuery
 from logndiv.channel import ChannelSpec, derive_params
 from logndiv.errors import BelowAsymptoticRegimeError, DomainError, SeriesCapError
-from logndiv.presets import asymptotic_curve, er_grid_from
+from logndiv.presets import _below_er, asymptotic_curve, er_grid_from, sumcdf_curve
 from logndiv.schemes import SchemeKind
 from logndiv.special_fn import noncentral_chi2_cdf_log
 
@@ -23,38 +24,53 @@ property_settings = settings(max_examples=25, deadline=None, derandomize=True, d
 @property_settings
 @given(st.sampled_from([2, 3, 4, 8]), st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99]),
        st.floats(0.3, 3.0), st.sampled_from([SchemeKind.EGC, SchemeKind.MRC]),
-       st.lists(st.floats(-20.0, 320.0), min_size=1, max_size=16))
-def test_combiner_curve_matches_its_points(L, rho, sigma_g, scheme, dbs):
-    params = derive_params(ChannelSpec(L=L, rho=rho, sigma_G=sigma_g, Er=1.0))
-    ers = [10.0 ** (db / 10.0) for db in dbs]
+       st.lists(st.integers(-200, 3200), min_size=1, max_size=16, unique=True).map(sorted))
+def test_combiner_curve_matches_its_points(L, rho, sigma_g, scheme, tenths_db):
+    spec = ChannelSpec(L=L, rho=rho, sigma_G=sigma_g, Er=1.0)
+    params = derive_params(spec)
+    ers = [10.0 ** (t / 100.0) for t in tenths_db]
     per_point = {SchemeKind.EGC: asymptotics.egc_outage_asym,
                  SchemeKind.MRC: asymptotics.mrc_outage_asym}[scheme]
-    for er, got in zip(ers, asymptotics._outage_curve(params, scheme, 0.1, ers)):
+    for er, got in zip(ers, asymptotic_curve(spec, scheme, 0.1, ers).points):
         try:
             ref = per_point(params, OutageQuery(0.1, er))
         except BelowAsymptoticRegimeError as exc:
-            assert isinstance(got, BelowAsymptoticRegimeError)
-            assert str(got) == str(exc) and got.ln_bound == exc.ln_bound
+            assert got.outage is None and got.note == _below_er(exc)
         else:
-            assert got == ref
+            assert got.outage == ref or (got.outage is None and ref > 1.0)
+
+
+@property_settings
+@given(st.sampled_from([2, 3, 4, 8]), st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99]),
+       st.floats(-3.0, 3.0), st.floats(0.3, 3.0),
+       st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=16, unique=True).map(sorted))
+def test_sumcdf_curve_matches_its_points(L, rho, mu_g, sigma_g, ys):
+    for y, got in zip(ys, sumcdf_curve(L, rho, mu_g, sigma_g, ys, "asym").points):
+        try:
+            ref = asymptotics.sum_lognormal_cdf_asym(L, rho, mu_g, sigma_g, y)
+        except BelowAsymptoticRegimeError:
+            assert got.outage is None and got.note == "beyond_tail_region"
+        else:
+            assert got.outage == ref or (got.outage is None and ref > 1.0)
 
 
 def test_a_curve_point_that_rises_past_the_cap_is_refused_as_one_point():
     # At L = 2, rho = 0.9999 the EGC series at 100 dB rises for about 3e8
     # terms: the curve raises the SeriesCapError of its first such point.
-    params = derive_params(ChannelSpec(L=2, rho=0.9999, sigma_G=0.8, Er=1.0))
+    spec = ChannelSpec(L=2, rho=0.9999, sigma_G=0.8, Er=1.0)
     with pytest.raises(SeriesCapError) as one:
-        asymptotics.egc_outage_asym(params, OutageQuery(0.1, 1e10))
+        asymptotics.egc_outage_asym(derive_params(spec), OutageQuery(0.1, 1e10))
     with pytest.raises(SeriesCapError) as curve:
-        asymptotics._outage_curve(params, SchemeKind.EGC, 0.1, [1e10, 1e12])
+        asymptotic_curve(spec, SchemeKind.EGC, 0.1, [1e10, 1e12])
     assert str(curve.value) == str(one.value)
 
 
 def test_points_below_the_regime_share_one_error():
-    params = derive_params(ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0))
-    got = asymptotics._outage_curve(params, SchemeKind.MRC, 1000.0, [1e-3, 1e-2, 1e30])
-    assert isinstance(got[0], BelowAsymptoticRegimeError) and got[1] is got[0]
-    assert 0.0 < got[2] < 1.0
+    spec = ChannelSpec(L=3, rho=0.5, sigma_G=1.0, Er=1.0)
+    got = asymptotic_curve(spec, SchemeKind.MRC, 1000.0, [1e-3, 1e-2, 1e30]).points
+    assert got[0].outage is None and got[0].note.startswith("below_asymptotic_regime;")
+    assert got[1].outage is None and got[1].note == got[0].note
+    assert 0.0 < got[2].outage < 1.0
 
 
 def _routes(monkeypatch):

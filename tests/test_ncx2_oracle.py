@@ -326,8 +326,8 @@ def _deep_points():
     for L, rho, sg, g, c in cells:
         params = derive_params(ChannelSpec(L=L, rho=rho, sigma_G=sg, Er=1.0))
         zs = [0.5 * math.log(L * 10.0 ** (db / 10.0) / g) - sg * sg for db in (0, 100, 300)]
-        firsts, second, _ = asymptotics._ncx2_arms(L, params.w, sg, zs, c)
-        pts += [(float(L), a * a, second * second) for a in firsts if a > 0.0]
+        arms = [asymptotics._ncx2_arms(L, params.w, sg, z, c) for z in zs]
+        pts += [(float(L), a * a, second * second) for a, second, _ in arms if a > 0.0]
     return pts
 
 
@@ -366,8 +366,8 @@ def _high_rho_points():
 
     params = derive_params(ChannelSpec(L=8, rho=0.99, sigma_G=0.8, Er=1.0))
     zs = [0.5 * math.log(8 * 10.0 ** (db / 10.0) / 0.1) - 0.64 for db in range(-20, 311, 30)]
-    firsts, second, _ = asymptotics._ncx2_arms(8, params.w, 0.8, zs, 1.0)
-    return [(8.0, a * a, second * second) for a in firsts if second < a]
+    arms = [asymptotics._ncx2_arms(8, params.w, 0.8, z, 1.0) for z in zs]
+    return [(8.0, a * a, second * second) for a, second, _ in arms if second < a]
 
 
 @pytest.mark.parametrize("k,lam,x", _high_rho_points(), ids=lambda v: f"{v:.6g}")
@@ -449,8 +449,8 @@ def _pinned_combiner_points():
     zs = [0.5 * math.log(3 * 10.0 ** (db / 10.0) / 1000.0) - 1.0 for db in range(0, 301, 10)]
     pts = []
     for c in (1.0, 0.5):
-        firsts, second, _ = asymptotics._ncx2_arms(3, params.w, 1.0, zs, c)
-        pts += [(3.0, a * a, second * second) for a in firsts if second < a]
+        arms = [asymptotics._ncx2_arms(3, params.w, 1.0, z, c) for z in zs]
+        pts += [(3.0, a * a, second * second) for a, second, _ in arms if second < a]
     return pts
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import logndiv
 from logndiv import channel, special_fn
+from logndiv.baselines import fenton_wilkinson_cdf
 from logndiv.cli import main
 from logndiv.errors import DomainError
 
@@ -189,6 +190,8 @@ def test_numpy_integers_are_counts():
     assert spec.L == 3
     batches = channel.iter_latent_batches(channel.derive_params(spec), np.int64(2000), 1)
     assert sum(g.shape[0] for g in batches) == 2000
+    assert fenton_wilkinson_cdf(np.int64(2), 0.5, 0.0, 1.0, 0.1) == \
+        fenton_wilkinson_cdf(2, 0.5, 0.0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("v", [np.float64(3.0), np.bool_(True)], ids=["float64", "bool_"])
