@@ -9,25 +9,34 @@ scalar special-function kernel and the exact one-branch lognormal CDF
 (asymptotics.single_branch_outage_exact, from which the exact independent SC
 outage is built), so agreement with the approximations is evidence, not
 tautology.
+
+The two-branch quadrature runs on the standard library alone. numpy is
+imported inside the functions that build arrays, on their first call: the
+tensor Gauss-Legendre cross-check, the region geometry and searches, and
+the sampling check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .asymptotics import single_branch_outage_exact
 from .channel import _U64, _check_branches
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
-from .special_fn import log_ndtr, log_ndtr_mills, reg_gamma_upper_log
+from .special_fn import log_ndtr, reg_gamma_upper_log
+
+if TYPE_CHECKING:   # imported where arrays are built, so that the quadrature does not pay for it
+    import numpy as np
 
 _LN_2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
-_EPS = float(np.finfo(float).eps)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_E_MINUS_60 = math.exp(-60.0)
+_EPS = sys.float_info.epsilon
 # ln 2^-1075, half the least subnormal: a probability below it rounds to 0.
 _LN_HALF_TINY = -1075.0 * math.log(2.0)
 
@@ -61,11 +70,15 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
     """(ln P, how far the rounding of c = ln(y/2) - mu_G can raise it) for
     P = Pr{exp(G1) + exp(G2) <= y}, y > 0. Write the sum as 2 e^S cosh D with
     S = (G1 + G2)/2 ~ N(mu_G, s_s^2) and D = (G1 - G2)/2 ~ N(0, s_d^2)
-    independent: P = 2 int_0^inf phi(t) Phi((c - ln cosh(s_d t))/s_s) dt, whose
-    log-concave integrand peaks at t = 0. The trapezoid rule on [0, b], past
-    where it has fallen 60 nats, halves its step until two steps agree to the
-    rounding of ln P. ln P is concave in c; its slope, the integrand's mean
-    inverse Mills ratio over s_s, bounds the move."""
+    independent: P = 2 int_0^inf phi(t) Phi(a) dt with a = (c - ln cosh(s_d t))/s_s,
+    whose log-concave integrand peaks at t = 0. The trapezoid rule on [0, b],
+    past where it has fallen 60 nats, halves its step from 8 steps until two
+    steps agree to the rounding of ln P, at most 4096 steps. Node k of the
+    m-step rule is k (b/m). Each halving evaluates only its new midpoints,
+    one scalar ln Phi each, and adds their fsum to a running total. ln P is
+    concave in c; its slope, the integrand's mean inverse Mills ratio
+    phi(a)/Phi(a) over s_s, bounds the move. The integrand times that ratio
+    is phi(t) phi(a), which needs no ln Phi."""
     s_s = sigma_G * math.sqrt(0.5 * (1.0 + rho))
     s_d = sigma_G * math.sqrt(0.5 * (1.0 - rho))
     # 0.5 * y is exact above 1; below it ln y and -ln 2 share a sign.
@@ -73,34 +86,35 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
     c = ln_half_y - mu_G
     dc = 2.0 * _EPS * (abs(ln_half_y) + abs(c))   # two ulps per operation
 
-    def arg(t):
-        # ln cosh x = 0.5 ln(1 + sinh^2 x) keeps its x^2/2; past 350 it grows as x.
-        x = np.minimum(s_d * t, 350.0)
-        return (c - 0.5 * np.log1p(np.sinh(x) ** 2) - (s_d * t - x)) / s_s
-
-    def ln_f(t):
-        ln_phi, mills = log_ndtr_mills(arg(t))
-        return ln_phi - 0.5 * t * t, mills
-
-    peak = log_ndtr(c / s_s)
+    peak = log_ndtr(c / s_s)   # ln f(0)
     if peak == -math.inf:
         return -math.inf, 0.0
+
+    def ratios(ts):
+        """f(t)/f(0) and sqrt(2 pi) f(t) phi(a)/Phi(a) / f(0) at each t, for
+        f(t) = e^(-t^2/2) Phi(a); the second is e^(-(t^2 + a^2)/2) / f(0)."""
+        e, w = [], []
+        for t in ts:
+            # ln cosh x = 0.5 ln(1 + sinh^2 x) keeps its x^2/2; past 350 it grows as x.
+            st = s_d * t
+            x = st if st < 350.0 else 350.0
+            sh = math.sinh(x)
+            a = (c - 0.5 * math.log1p(sh * sh) - (st - x)) / s_s
+            e.append(math.exp(log_ndtr(a) - 0.5 * t * t - peak))
+            w.append(math.exp(-0.5 * (a * a + t * t) - peak))
+        return e, w
+
     b = 11.0   # phi alone has fallen 60.5 nats here
-    while peak - (log_ndtr(float(arg(0.5 * b))) - 0.125 * b * b) >= 60.0:
+    while ratios([0.5 * b])[0][0] <= _E_MINUS_60:   # f(b/2) is 60 nats or more below f(0)
         b *= 0.5
-    # Node i of the m-step rule is i (b/m), bit for bit the node of
-    # np.linspace(0, b, m + 1). The 8- to 64-step rules are strides of one
-    # 65-node grid, and each finer rule adds the midpoints of the last.
-    v, mills = ln_f(np.arange(65) * (b / 64))
-    v[[0, -1]] -= _LN_2
     m, ln_prev = 8, math.nan
+    e, w = ratios([k * (b / m) for k in range(m + 1)])
+    for v in (e, w):   # the trapezoid rule halves its end nodes
+        v[0] *= 0.5
+        v[-1] *= 0.5
+    sum_e, sum_w = math.fsum(e), math.fsum(w)
     while True:
-        if m >= v.size:
-            v_mid, mills_mid = ln_f(np.arange(1, m, 2) * (b / m))
-            v, mills = _interleave(v, v_mid), _interleave(mills, mills_mid)
-        step = (v.size - 1) // m
-        e = np.exp(v[::step] - v[0])
-        ln_p = v[0] + math.log(e.sum() * 2.0 * b / m) - 0.5 * _LN_2PI
+        ln_p = peak + math.log(sum_e * 2.0 * b / m) - 0.5 * _LN_2PI
         tol = 32.0 * _EPS * (1.0 + abs(ln_p))
         if abs(ln_p - ln_prev) <= tol:
             break
@@ -108,15 +122,11 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
             raise IntegrationFailureError(f"sum2 CDF trapezoid rule did not settle at y={y}",
                                           math.exp(min(ln_p, 0.0)), math.inf)
         m, ln_prev = 2 * m, ln_p
-    mills_mean = float(e @ mills[::step]) / e.sum()
+        e, w = ratios([k * (b / m) for k in range(1, m, 2)])
+        sum_e, sum_w = sum_e + math.fsum(e), sum_w + math.fsum(w)
+    mills_mean = sum_w / (sum_e * _SQRT_2PI)
     # Within the rule's rounding of 1 the value is 1; the node sum can land an ulp below.
     return (0.0 if ln_p > -tol else ln_p), dc * mills_mean / s_s
-
-
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    out = np.empty(even.size + odd.size)
-    out[::2], out[1::2] = even, odd
-    return out
 
 
 def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> float:
@@ -152,6 +162,8 @@ def sum2_cdf_tensor_gl(mu_G: float, sigma_G: float, y: float) -> float:
     12 panels of 160-point Gauss-Legendre over the first exponent with the
     second dimension closed by the Gaussian CDF. A different variable and
     engine on a fixed grid, for self-consistency tests."""
+    import numpy as np
+
     top = math.log(y)
     lo = min(mu_G - 40.0 * sigma_G, top - 40.0 * sigma_G)
     nodes, weights = np.polynomial.legendre.leggauss(160)
@@ -185,6 +197,8 @@ def region_indicator(scheme: SchemeKind, x: Sequence[float], a: float,
 
     with g_l = a x_l + sum_{k != l} x_k. Symmetric under permutations of x.
     """
+    import numpy as np
+
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1 or xv.size < 1:
         raise DomainError("x must be a 1-D point")
@@ -204,6 +218,8 @@ def nearest_point_closed(scheme: SchemeKind, a: float, L: int, gamma_th: float) 
     """Closed-form nearest point (to any mean on the diagonal, far out) of
     the outage region: all coordinates equal; EGC and MRC share theirs,
     shifted from SC's by -ln(sqrt(L))/(a+L-1)."""
+    import numpy as np
+
     if not a > 1.0:
         raise DomainError(f"nearest-point geometry requires a > 1, got {a!r}")
     c = 0.5 * math.log(gamma_th)
@@ -231,6 +247,8 @@ def _sc_nearest(a: float, c: float, mu: np.ndarray) -> Optional[np.ndarray]:
     trying every active set S: its KKT point x = mu - A_S^T lam solves
     A_S x = c, where the rows of A_S are the gradients of the g_l in S. The
     nearest point that is feasible with lam >= 0 wins; None if none is."""
+    import numpy as np
+
     L = mu.size
     grads = (a - 1.0) * np.eye(L) + 1.0
     best = None
@@ -248,6 +266,8 @@ def _sc_nearest(a: float, c: float, mu: np.ndarray) -> Optional[np.ndarray]:
 def _newton_starts(closed: np.ndarray, mu: np.ndarray, mu_X: float) -> list[np.ndarray]:
     """The 8 starts of the EGC/MRC search: the closed form, two shifts of it
     and five seeded perturbations."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20230817)))
     starts = [closed.copy(), closed - 0.3, mu - abs(mu_X - closed[0])]
     while len(starts) < 8:
@@ -268,6 +288,8 @@ def _kkt_newton(x0: np.ndarray, mu: np.ndarray, a: float, scale: float,
     residual norm. Returns (x, lam) once a full step falls below 1e-14
     relative; None if the system turns singular, no step lowers the
     residual, or 100 steps do not settle."""
+    import numpy as np
+
     L = x0.size
     A = (a - 1.0) * np.eye(L) + 1.0     # symmetric: g = A x
     ln_bound = math.log(bound)
@@ -318,6 +340,8 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
     converges with a multiplier >= 0 finds the one minimizer. Feasibility of
     the winner is still checked through region_indicator itself, to 1e-9.
     """
+    import numpy as np
+
     if L > 4:
         raise DomainError("constrained searches are desk-scale: L <= 4")
     if not a > 1.0:
@@ -458,6 +482,8 @@ def subset_inclusion_check(a: float, L: int, gamma_th: float, eps: float,
     g_l >= 0, where the region is exactly the positive cone cut by the ball;
     a box [0, 1.5*delta]^L covers the cut for any in-regime mean (checked).
     """
+    import numpy as np
+
     if not a > 1.0:
         raise DomainError(f"subset check requires a > 1, got {a!r}")
     if not (math.isfinite(eps) and eps > 0.0):
@@ -558,6 +584,8 @@ def implicit_derivative_check(a: float, L: int, gamma_th: float) -> DerivativeCh
     Expected values: first derivative -1; second derivatives
     -(1-a)^2 * (1 + [m = n]) / (L - 1 + a).
     """
+    import numpy as np
+
     if not a > 1.0:
         raise DomainError(f"derivative check requires a > 1, got {a!r}")
     if L < 2:

@@ -104,9 +104,24 @@ def simulated_curves(spec: ChannelSpec, schemes: list[SchemeKind], gamma_th: flo
             for s in schemes]
 
 
-def _y_grid(cfg: dict) -> list[float]:
-    import numpy as np
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """np.linspace(start, stop, n).tolist() in floats: i step + start with
+    step = (stop - start)/(n - 1), or i/(n - 1) (stop - start) + start where
+    that step rounds to 0, and the last point stop."""
+    delta = stop - start
+    div = n - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        pts = [i / div * delta + start for i in range(n)]
+    else:
+        pts = [i * step + start for i in range(n)]
+    pts[-1] = stop
+    return pts
 
+
+def _y_grid(cfg: dict) -> list[float]:
     n = int(cfg["points"])
     if n < 1:
         raise DomainError("y grid needs at least one point")
@@ -114,8 +129,12 @@ def _y_grid(cfg: dict) -> list[float]:
     if cfg.get("spacing", "log") == "log":
         if start <= 0.0:
             raise DomainError("log-spaced y grid needs start > 0")
-        return np.geomspace(start, stop, n).tolist()
-    return np.linspace(start, stop, n).tolist()
+        # np.geomspace: 10^v over the linear grid of the log10 ends, ends set exactly.
+        pts = [10.0 ** v for v in _linspace(math.log10(start), math.log10(stop), n)]
+        pts[-1] = stop
+        pts[0] = start
+        return pts
+    return _linspace(start, stop, n)
 
 
 def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
@@ -127,6 +146,9 @@ def sumcdf_curve(L: int, rho: float, mu_G: float, sigma_G: float,
     if method not in sources:
         raise DomainError(f"unknown sum-CDF method {method!r}; expected fw/asym/quadrature")
     ChannelSpec(L=L, rho=rho, sigma_G=sigma_G, mu_G=mu_G)   # one channel check for every method
+    for y in y_grid:   # and one check of every y
+        if not (math.isfinite(y) and y > 0.0):
+            raise DomainError(f"y must be finite and > 0, got {y!r}")
     if method == "asym":
         pts = [_closed_form_point(y, partial(sum_lognormal_cdf_asym, L, rho, mu_G, sigma_G, y),
                                   lambda exc: "beyond_tail_region") for y in y_grid]

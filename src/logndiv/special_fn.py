@@ -23,18 +23,14 @@ continued fraction, where an estimate of the terms it needs does. Below
 shape 1/2 the series branch of ln Q sums two parts of order s, not
 1 - P, so it keeps its relative accuracy at any small shape.
 
-The Gaussian log-CDF ln Phi takes math.erfc for a float above -37 and the
-asymptotic series below it. An array takes one vectorised pass through
-erfcx(u) = e^(u^2) erfc(u). In place of Cody's rational approximations
-(1969, Math. Comp. 23) that is a Chebyshev series in a variable that maps
-[0, inf] onto [-1, 1], whose constants the tests rebuild from 50-digit
-mpmath values.
+The Gaussian log-CDF ln Phi has one evaluator, log_ndtr, on a float:
+math.erfc above -37 and the asymptotic series below it.
 
 numpy is imported inside the functions that build arrays, on their first
-call: the Ding window, log_ndtr on an array, and _log_poisson above n = 15.
-The Gaussian tails, the Bessel series, the incomplete gamma up to shape 15
-and log_ndtr on a float run on the standard library alone, and so does
-every noncentral chi-squared point that takes the Bessel series.
+call: the Ding window and _log_poisson above n = 15. The Gaussian tails,
+the Bessel series, the incomplete gamma up to shape 15 and log_ndtr run on
+the standard library alone, and so does every noncentral chi-squared point
+that takes the Bessel series.
 """
 
 from __future__ import annotations
@@ -51,24 +47,8 @@ if TYPE_CHECKING:   # imported where arrays are built, so that scalar calls do n
 
 _SQRT2 = math.sqrt(2.0)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Below this a float's ln Phi comes from the asymptotic series, not math.erfc.
 _LOG_NDTR_SERIES_BELOW = -37.0
-# Chebyshev coefficients of erfcx(u) (1 + u/2) in t = (u - 4)/(u + 4), which
-# maps u in [0, inf] onto [-1, 1]: the 64-point discrete cosine transform of
-# 50-digit values at the Chebyshev points of the first kind, cut where the
-# terms fall below 5e-19; the first term left out is 4.5e-20.
-_ERFCX_CHEB = (
-    0.5179471454046054, -0.3236300300969295, 0.11488814345673667,
-    -0.03390511136270618, 0.008086958537489483, -0.0014378994589760406,
-    0.00013665682930694058, 1.7888902672606732e-05, -1.1228339227009215e-05,
-    2.5575977751150944e-06, -2.886717892217155e-07, -8.69476971550671e-09,
-    8.779094276403756e-09, -1.040833424053646e-09, -1.0849422137589879e-10,
-    4.1884706050620646e-11, -8.948666398409147e-13, -1.2100847972276042e-12,
-    1.170485902610902e-13, 3.246188858928777e-14, -5.6315172324908135e-15,
-    -8.984217650669094e-16, 2.3057807285642845e-16, 2.780576169670389e-17,
-    -9.105637786314243e-18, -1.0217878720726442e-18, 3.587581941690529e-19)
-
 # Incomplete-gamma iteration controls.
 _EPS = 1e-16
 _EULER_GAMMA = 0.5772156649015329
@@ -125,37 +105,6 @@ def gaussian_q_asym(x: float) -> float:
     return math.exp(-0.5 * x * x) / (math.sqrt(2.0 * math.pi) * x)
 
 
-def _erfcx_nonneg(u: np.ndarray) -> np.ndarray:
-    """erfcx(u) for an array of u >= 0, u = inf included. With t = cos(theta),
-    T_k(t) = cos(k theta) = Re z^k for z = t + i sin(theta), so one complex
-    cumulative product gives every Chebyshev polynomial of the series."""
-    import numpy as np
-
-    t = 1.0 - 8.0 / (u + 4.0)   # (u - 4)/(u + 4), and exactly 1 at u = inf
-    z = np.empty((len(_ERFCX_CHEB), t.size), complex)
-    z[0] = 1.0
-    z[1:] = t + 1j * np.sqrt(1.0 - t * t)
-    np.multiply.accumulate(z, axis=0, out=z)
-    return (np.array(_ERFCX_CHEB) @ z.real) / (1.0 + 0.5 * u)
-
-
-def log_ndtr_mills(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln Phi(a), phi(a)/Phi(a)) for a 1-D array a, from one erfcx pass at
-    u = |a|/sqrt 2. Phi(a) is e^(-u^2) erfcx(u)/2 for a < 0 and one minus that
-    for a >= 0, so neither value cancels, however far out a lies."""
-    import numpy as np
-
-    u = np.abs(a) * (1.0 / _SQRT2)
-    ex = _erfcx_nonneg(u)
-    neg = a < 0.0
-    with np.errstate(over="ignore", divide="ignore"):   # past |a| ~ 1e154 ln Phi is -inf
-        u2 = u * u
-        g = np.exp(-u2)
-        ln_phi = np.where(neg, np.log(0.5 * ex) - u2, np.log1p(-0.5 * ex * g))
-        mills = _SQRT_2_OVER_PI * np.where(neg, 1.0 / ex, g / (2.0 - ex * g))
-    return ln_phi, mills
-
-
 def _is_array(a) -> bool:
     """Whether a is a numpy array, asked without importing numpy: before
     numpy is loaded no array can exist."""
@@ -163,12 +112,10 @@ def _is_array(a) -> bool:
     return np is not None and isinstance(a, np.ndarray)
 
 
-def log_ndtr(a):
-    """ln Phi(a), the standard normal log-CDF, for a float or a 1-D numpy
-    array. It keeps full relative accuracy where Phi underflows (a below
-    about -38) and where ln Phi rounds toward 0 (a above about 8)."""
-    if _is_array(a):
-        return log_ndtr_mills(a)[0]
+def log_ndtr(a: float) -> float:
+    """ln Phi(a), the standard normal log-CDF, for a float. It keeps full
+    relative accuracy where Phi underflows (a below about -38) and where
+    ln Phi rounds toward 0 (a above about 8)."""
     if a >= _LOG_NDTR_SERIES_BELOW:
         return (math.log(0.5 * math.erfc(-a / _SQRT2)) if a < 0.0
                 else math.log1p(-0.5 * math.erfc(a / _SQRT2)))

@@ -20,7 +20,7 @@ PINNED = {
     "figure fig6": (["figure", "fig6"],
                     "d347a7a3563988afa614766eded6d64e88039382853f25049f8cd6122d3467e8"),
     "figure fig7": (["figure", "fig7"],
-                    "2ff25158606da8a5f68a244bea8fd6411a10abab5879166ee625572de2290c7d"),
+                    "184b067ffb01aec529c77f7bf2afd3d1af2cfc3e1acdfe205e33f990880f952a"),
     "figure fig4 --samples 20000 --seed 3": (
         ["figure", "fig4", "--samples", "20000", "--seed", "3"],
         "9e6e2e992eb74e523f4e6d2ecf77eb8c3ad979f369b591b885a2d639c11a788e"),

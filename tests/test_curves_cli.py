@@ -2,15 +2,20 @@ import argparse
 import io
 import json
 import math
+import random
 import re
+import sys
 
+import numpy as np
 import pytest
 
 from logndiv import channel, montecarlo
 from logndiv.cli import build_parser, main
 from logndiv.curves import Curve, CurvePoint, curves_to_text, read_curves
 from logndiv.errors import DomainError
-from logndiv.presets import figure_curves
+from logndiv.presets import _y_grid, figure_curves
+
+EPS = sys.float_info.epsilon
 
 
 def _curve(**kw):
@@ -247,11 +252,13 @@ def _flag(argv, flag, value):
     ["figure", "fig4", "--samples", "0"],
     ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "5", "--sigma-g", "1e-10",
      "--y", "296.8263182:296.8263182:1", "--method", "quadrature"],
+    ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "0", "--sigma-g", "0.65",
+     "--y=0:1:0.5", "--method", "quadrature"],
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
         "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "fw-rho1", "sumcdf-preset-samples",
-        "outage-preset-zero-samples", "quadrature-peak-missed"])
+        "outage-preset-zero-samples", "quadrature-peak-missed", "quadrature-y-zero"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
@@ -419,6 +426,44 @@ def test_sumcdf_single_point_grid(tmp_path):
     with open(out) as f:
         _, curves = read_curves(f)
     assert [p.x for p in curves[0].points] == [0.5]
+
+
+def _random_grids(seed: int, n_grids: int) -> list[tuple[float, float, int]]:
+    """(start, stop, points) with start <= stop in [1e-3, 1e3], some of one
+    point and some whose ends coincide; then fig7's grid, the grid of the
+    startup checks, one whose step rounds to 0 and one single point."""
+    rng = random.Random(seed)
+    grids = []
+    for _ in range(n_grids):
+        start, stop = sorted(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+        if rng.random() < 0.1:
+            stop = start
+        grids.append((start, stop, rng.choice([1, 2, 3, 30, rng.randint(1, 500)])))
+    return grids + [(0.1, 5.0, 30), (0.05, 3.0, 60), (5e-324, 1e-323, 4), (2.0, 2.0, 1)]
+
+
+def test_linear_y_grid_is_numpy_linspace():
+    for start, stop, n in _random_grids(1, 400):
+        for a, b in ((start, stop), (-stop, start), (-stop, -start)):
+            cfg = {"start": a, "stop": b, "points": n, "spacing": "linear"}
+            assert _y_grid(cfg) == np.linspace(a, b, n).tolist()
+
+
+def test_log_y_grid_is_numpy_geomspace():
+    # Both take 10^v over the linear grid of the log10 ends. Where the two
+    # log10 of an end agree, the points differ only by the rounding of the
+    # power. Elsewhere one ulp of an end moves v by about eps |v|, which the
+    # power turns into about ln(10) eps |v| relative.
+    for start, stop, n in _random_grids(2, 400):
+        got = _y_grid({"start": start, "stop": stop, "points": n, "spacing": "log"})
+        ref = np.geomspace(start, stop, n)
+        assert got[0] == start and (n == 1 or got[-1] == stop)
+        ends = [math.log10(v) for v in (start, stop)]
+        if ends == np.log10([start, stop]).tolist():
+            tol = 2.0 * np.spacing(ref)
+        else:
+            tol = 2.0 * np.spacing(ref) + 4.0 * math.log(10.0) * EPS * max(map(abs, ends)) * ref
+        assert np.all(np.abs(np.array(got) - ref) <= tol)
 
 
 def test_overlong_ncx2_series_is_domain_error(capsys):

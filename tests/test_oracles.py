@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from logndiv.asymptotics import single_branch_outage_exact
 from logndiv.schemes import SchemeKind
 
 A_HALF = a_from_rho(0.5, 2)
+EPS = sys.float_info.epsilon
 
 
 def _smooth_constraint(scheme, L, gamma_th):
@@ -164,6 +166,23 @@ class TestSum2Quadrature:
         from logndiv.oracles import _sum2_cdf_log
 
         assert _sum2_cdf_log(mu, sg, rho, y)[0] == pytest.approx(ln_p, rel=1e-12)
+
+    # ln P from 40-digit mpmath: 2 int_0^B phi(t) Phi((c - ln cosh(s_d t))/s_s) dt
+    # over 64 equal panels, with B where the integrand has fallen 90 nats.
+    # The rule settles at m = 64, 64 and 128 steps: it evaluates ln Phi at its
+    # peak, at b/2 for each b it tries, and once at each node it uses.
+    @pytest.mark.parametrize("mu, sg, rho, y, ln_p, calls", [
+        (0.0, 1.5, 0.9, 0.02, -7.2240364638924987089, 1 + 1 + 65),
+        (0.0, 0.6, 0.0, 1e-6, -590.54602236162592912, 1 + 2 + 65),
+        (0.0, 0.7, 0.0, 0.05, -31.489226280897622412, 1 + 1 + 129),
+    ])
+    def test_scalar_rule_matches_mpmath(self, mu, sg, rho, y, ln_p, calls, monkeypatch):
+        seen = []
+        log_ndtr = oracles.log_ndtr
+        monkeypatch.setattr(oracles, "log_ndtr", lambda a: seen.append(a) or log_ndtr(a))
+        got = oracles._sum2_cdf_log(mu, sg, rho, y)[0]
+        assert abs(got - ln_p) <= 32.0 * EPS * (1.0 + abs(ln_p))
+        assert len(seen) == calls
 
     def test_least_subnormal_y_underflows(self):
         assert sum2_cdf_quadrature(0.0, 0.5477, 0.0, 5e-324) == 0.0

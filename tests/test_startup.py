@@ -1,5 +1,6 @@
 """Start-up cost: the package surface resolves lazily, no command loads
-scipy, and the closed forms below the noncentrality load no numpy. scipy and
+scipy, and neither the closed forms below the noncentrality nor the
+quadrature load numpy. scipy and
 numpy are already loaded in the test process, so the import checks run in a
 fresh interpreter."""
 
@@ -40,14 +41,16 @@ _SUMCDF = ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "0", "--sigma-g", "0.
            "--y", "0.05:3:0.05", "--method"]
 
 
-# Whether numpy is loaded after `import logndiv`, after `import logndiv.cli`
-# and after each command.
+# Whether numpy is loaded after `import logndiv`, after `import logndiv.cli`,
+# after `import logndiv.oracles` and after each command.
 _NUMPY_CHILD = textwrap.dedent("""
     import json, sys
     loaded = []
     import logndiv
     loaded.append("numpy" in sys.modules)
     import logndiv.cli as cli
+    loaded.append("numpy" in sys.modules)
+    import logndiv.oracles
     loaded.append("numpy" in sys.modules)
 
     outdir, commands = sys.argv[1], json.loads(sys.argv[2])
@@ -59,7 +62,7 @@ _NUMPY_CHILD = textwrap.dedent("""
 """)
 
 # Array work in a fresh process: a point at or above the noncentrality, which
-# takes the Ding window, then log_ndtr on an array, then figure fig7.
+# takes the Ding window, then figure fig7.
 _ARRAY_CHILD = textwrap.dedent("""
     import json, sys
     from logndiv import special_fn
@@ -68,14 +71,9 @@ _ARRAY_CHILD = textwrap.dedent("""
     before = "numpy" in sys.modules
     window = special_fn.noncentral_chi2_cdf_log(4.0, 1.0, 9.0)
     after = "numpy" in sys.modules
-    import numpy as np
-    ln_phi = special_fn.log_ndtr(np.array(json.loads(sys.argv[2]))).tolist()
     code = cli.main(["figure", "fig7", "--out", f"{sys.argv[1]}/fig7.csv"])
-    print(json.dumps({"numpy": [before, after], "window": window, "log_ndtr": ln_phi,
-                      "code": code}))
+    print(json.dumps({"numpy": [before, after], "window": window, "code": code}))
 """)
-
-_LOG_NDTR_POINTS = [-50.0, -3.0, 0.0, 0.5, 9.0]
 
 
 def _run_fresh(tmp_path, commands: list[list[str]], child: str = _CHILD) -> dict:
@@ -141,43 +139,26 @@ def test_optimiser_suites_load_no_scipy(tmp_path):
 def test_closed_form_commands_load_no_numpy(tmp_path):
     commands = [["figure", "fig4"], ["figure", "fig5"], ["figure", "fig6"],
                 *[_ASYMPTOTIC[:-3] + [s] + _ASYMPTOTIC[-2:] for s in ("sc", "egc", "mrc")],
-                ["verify", "--suite", "limits"]]
+                ["verify", "--suite", "limits"], _SUMCDF + ["quadrature"], _SUMCDF + ["fw"]]
     out = _run_fresh(tmp_path, commands, _NUMPY_CHILD)
     assert out["codes"] == [0] * len(commands)
-    assert out["numpy"] == [False] * (2 + len(commands))
+    assert out["numpy"] == [False] * (3 + len(commands))
 
 
 def test_array_work_loads_numpy_where_it_runs(tmp_path):
-    out = _run_fresh(tmp_path, _LOG_NDTR_POINTS, _ARRAY_CHILD)
+    out = _run_fresh(tmp_path, [], _ARRAY_CHILD)
     assert out["numpy"] == [False, True]
     assert out["code"] == 0
     assert out["window"] == special_fn.noncentral_chi2_cdf_log(4.0, 1.0, 9.0)
-    assert out["log_ndtr"] == special_fn.log_ndtr(np.array(_LOG_NDTR_POINTS)).tolist()
     here = tmp_path / "here.csv"
     assert main(["figure", "fig7", "--out", str(here)]) == 0
     assert (tmp_path / "fig7.csv").read_bytes() == here.read_bytes()
 
 
-def _count_array_route(monkeypatch) -> list:
-    calls = []
-    mills = special_fn.log_ndtr_mills
-    monkeypatch.setattr(special_fn, "log_ndtr_mills", lambda a: calls.append(a) or mills(a))
-    return calls
-
-
 @pytest.mark.parametrize("v", [-50.0, -3.0, 0.0, 9.0])
-def test_numpy_float_takes_the_scalar_route_of_log_ndtr(v, monkeypatch):
-    calls = _count_array_route(monkeypatch)
+def test_numpy_float_takes_the_scalar_route_of_log_ndtr(v):
     got = special_fn.log_ndtr(np.float64(v))
     assert not isinstance(got, np.ndarray) and got == special_fn.log_ndtr(v)
-    assert calls == []
-
-
-@pytest.mark.parametrize("a", [np.array(-3.0), np.array([-3.0, 0.5])], ids=["0-d", "1-d"])
-def test_arrays_take_the_array_route_of_log_ndtr(a, monkeypatch):
-    calls = _count_array_route(monkeypatch)
-    assert isinstance(special_fn.log_ndtr(a), np.ndarray)
-    assert len(calls) == 1 and calls[0] is a
 
 
 def test_numpy_float_takes_the_scalar_route_of_log_poisson():
