@@ -10,10 +10,8 @@ scalar special-function kernel and the exact one-branch lognormal CDF
 outage is built), so agreement with the approximations is evidence, not
 tautology.
 
-The two-branch quadrature runs on the standard library alone. numpy is
-imported inside the functions that build arrays, on their first call: the
-tensor Gauss-Legendre cross-check, the region geometry and searches, and
-the sampling check.
+The two-branch quadrature runs on the standard library alone; numpy is
+imported inside the functions that build arrays, on their first call.
 """
 
 from __future__ import annotations
@@ -27,15 +25,14 @@ from .asymptotics import single_branch_outage_exact
 from .channel import _U64, _check_branches
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
-from .special_fn import log_ndtr, reg_gamma_upper_log
+from .special_fn import (_LN_SQRT_2PI, _LOG_NDTR_SERIES_BELOW, _ndtr_tail_series, log_ndtr,
+                         reg_gamma_upper_log)
 
 if TYPE_CHECKING:   # imported where arrays are built, so that the quadrature does not pay for it
     import numpy as np
 
 _LN_2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_E_MINUS_60 = math.exp(-60.0)
 _EPS = sys.float_info.epsilon
 # ln 2^-1075, half the least subnormal: a probability below it rounds to 0.
 _LN_HALF_TINY = -1075.0 * math.log(2.0)
@@ -77,8 +74,7 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
     m-step rule is k (b/m). Each halving evaluates only its new midpoints,
     one scalar ln Phi each, and adds their fsum to a running total. ln P is
     concave in c; its slope, the integrand's mean inverse Mills ratio
-    phi(a)/Phi(a) over s_s, bounds the move. The integrand times that ratio
-    is phi(t) phi(a), which needs no ln Phi."""
+    phi(a)/Phi(a) over s_s, bounds the move."""
     s_s = sigma_G * math.sqrt(0.5 * (1.0 + rho))
     s_d = sigma_G * math.sqrt(0.5 * (1.0 - rho))
     # 0.5 * y is exact above 1; below it ln y and -ln 2 share a sign.
@@ -90,22 +86,26 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
     if peak == -math.inf:
         return -math.inf, 0.0
 
+    def a_at(t):
+        # ln cosh x = 0.5 ln(1 + sinh^2 x) keeps its x^2/2; past 350 it grows as x.
+        st = s_d * t
+        x = st if st < 350.0 else 350.0
+        sh = math.sinh(x)
+        return (c - 0.5 * math.log1p(sh * sh) - (st - x)) / s_s
+
     def ratios(ts):
-        """f(t)/f(0) and sqrt(2 pi) f(t) phi(a)/Phi(a) / f(0) at each t, for
-        f(t) = e^(-t^2/2) Phi(a); the second is e^(-(t^2 + a^2)/2) / f(0)."""
+        """f(t)/f(0) and f(t) phi(a)/Phi(a) / f(0) at each t, for f(t) = e^(-t^2/2) Phi(a)."""
         e, w = [], []
         for t in ts:
-            # ln cosh x = 0.5 ln(1 + sinh^2 x) keeps its x^2/2; past 350 it grows as x.
-            st = s_d * t
-            x = st if st < 350.0 else 350.0
-            sh = math.sinh(x)
-            a = (c - 0.5 * math.log1p(sh * sh) - (st - x)) / s_s
+            a = a_at(t)
             e.append(math.exp(log_ndtr(a) - 0.5 * t * t - peak))
-            w.append(math.exp(-0.5 * (a * a + t * t) - peak))
+            # Below -37 phi(a)/Phi(a) is |a|/s for the series s, as a^2/2 would cancel ln f(0).
+            w.append(e[-1] * -a / _ndtr_tail_series(a) if a < _LOG_NDTR_SERIES_BELOW
+                     else math.exp(-0.5 * (a * a + t * t) - _LN_SQRT_2PI - peak))
         return e, w
 
     b = 11.0   # phi alone has fallen 60.5 nats here
-    while ratios([0.5 * b])[0][0] <= _E_MINUS_60:   # f(b/2) is 60 nats or more below f(0)
+    while peak - (log_ndtr(a_at(0.5 * b)) - 0.125 * b * b) >= 60.0:
         b *= 0.5
     m, ln_prev = 8, math.nan
     e, w = ratios([k * (b / m) for k in range(m + 1)])
@@ -124,9 +124,8 @@ def _sum2_cdf_log(mu_G: float, sigma_G: float, rho: float, y: float) -> tuple[fl
         m, ln_prev = 2 * m, ln_p
         e, w = ratios([k * (b / m) for k in range(1, m, 2)])
         sum_e, sum_w = sum_e + math.fsum(e), sum_w + math.fsum(w)
-    mills_mean = sum_w / (sum_e * _SQRT_2PI)
     # Within the rule's rounding of 1 the value is 1; the node sum can land an ulp below.
-    return (0.0 if ln_p > -tol else ln_p), dc * mills_mean / s_s
+    return (0.0 if ln_p > -tol else ln_p), dc * (sum_w / sum_e) / s_s
 
 
 def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> float:

@@ -112,6 +112,16 @@ def _is_array(a) -> bool:
     return np is not None and isinstance(a, np.ndarray)
 
 
+def _ndtr_tail_series(a: float) -> float:
+    """s in Phi(a) = phi(a) s/|a|, s = 1 - 1/a^2 + 3/a^4 - ..., summed by Horner's
+    rule through 15!!/a^16: at |a| >= 37 the first term left out is below 3e-21."""
+    x = 1.0 / (a * a)
+    s = 1.0
+    for j in range(15, 0, -2):
+        s = 1.0 - j * x * s
+    return s
+
+
 def log_ndtr(a: float) -> float:
     """ln Phi(a), the standard normal log-CDF, for a float. It keeps full
     relative accuracy where Phi underflows (a below about -38) and where
@@ -119,13 +129,7 @@ def log_ndtr(a: float) -> float:
     if a >= _LOG_NDTR_SERIES_BELOW:
         return (math.log(0.5 * math.erfc(-a / _SQRT2)) if a < 0.0
                 else math.log1p(-0.5 * math.erfc(a / _SQRT2)))
-    # Phi(a) = phi(a)/|a| (1 - 1/a^2 + 3/a^4 - ...), summed by Horner's rule
-    # through 15!!/a^16: at |a| >= 37 the first term left out is below 3e-21.
-    x = 1.0 / (a * a)
-    s = 1.0
-    for j in range(15, 0, -2):
-        s = 1.0 - j * x * s
-    return -0.5 * a * a - math.log(-a) - _LN_SQRT_2PI + math.log(s)
+    return -0.5 * a * a - math.log(-a) - _LN_SQRT_2PI + math.log(_ndtr_tail_series(a))
 
 
 def _check_gamma_args(s: float, x: float) -> None:

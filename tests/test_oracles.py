@@ -2,12 +2,13 @@ import dataclasses
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from logndiv import oracles, verify_suites
 from logndiv.channel import a_from_rho
-from logndiv.errors import DomainError
+from logndiv.errors import DomainError, IntegrationFailureError
 from logndiv.oracles import (DerivativeCheckReport, LemmaProbe, implicit_derivative_check,
                              lemma_ratio, nearest_point_closed, nearest_point_numeric,
                              region_indicator, sc_outage_exact_indep,
@@ -183,6 +184,29 @@ class TestSum2Quadrature:
         got = oracles._sum2_cdf_log(mu, sg, rho, y)[0]
         assert abs(got - ln_p) <= 32.0 * EPS * (1.0 + abs(ln_p))
         assert len(seen) == calls
+
+    # A narrow channel makes a = c/s_s nearly the same at every node, so the
+    # bound on the move from the rounding dc of c is dc phi(a)/Phi(a) / s_s,
+    # with the ratio |a| far out. a runs from 3 through the series range of ln Phi.
+    @pytest.mark.parametrize("mu, sg, y", [
+        (0.0, 1e-8, 2.0 * math.exp(k * 1e-8 * math.sqrt(0.75))) for k in (3, -5, -20, -35, -50)
+    ] + [(1.0, 1e-100, math.nextafter(2.0 * math.e, 0.0))])
+    def test_narrow_channel_move_is_the_mills_ratio(self, mu, sg, y):
+        s_s = sg * math.sqrt(0.75)
+        ln_half_y = math.log(0.5 * y)
+        c = ln_half_y - mu
+        dc = 2.0 * EPS * (abs(ln_half_y) + abs(c))
+        a = c / s_s
+        mp.mp.dps = 40
+        mills = abs(a) if a < -1e10 else float(mp.npdf(a) / mp.ncdf(a))
+        assert oracles._sum2_cdf_log(mu, sg, 0.5, y)[1] == pytest.approx(dc * mills / s_s,
+                                                                        rel=1e-7)
+
+    def test_rounding_of_c_past_the_series_range_is_refused(self):
+        # c = ln(y/2) - mu_G is an ulp below 0 and s_s is 8.7e-101, so a is
+        # -2.6e84 and the rounding of c can move ln P by 1.3e169: P could be 1/2.
+        with pytest.raises(IntegrationFailureError, match="too narrow"):
+            sum2_cdf_quadrature(1.0, 1e-100, 0.5, math.nextafter(2.0 * math.e, 0.0))
 
     def test_least_subnormal_y_underflows(self):
         assert sum2_cdf_quadrature(0.0, 0.5477, 0.0, 5e-324) == 0.0
