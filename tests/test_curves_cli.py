@@ -254,11 +254,14 @@ def _flag(argv, flag, value):
      "--y", "296.8263182:296.8263182:1", "--method", "quadrature"],
     ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "0", "--sigma-g", "0.65",
      "--y=0:1:0.5", "--method", "quadrature"],
+    ["sumcdf", "--L", "2", "--rho", "0.5", "--mu-g", "1", "--sigma-g", "1e-100",
+     "--y", "5.436563656918089:5.436563656918089:1", "--method", "quadrature"],
 ], ids=["sigma0", "sigma-negative", "L0", "quadrature-mu-nan", "rho1", "log-y-from-0",
         "er-db-overflow", "config-er-db-overflow", "er-db-too-many-points",
         "asymptotic-sigma-squared-overflow", "simulate-sigma-squared-overflow",
         "fw-sigma-squared-overflow", "fw-mean-overflow", "fw-y-zero", "fw-rho1", "sumcdf-preset-samples",
-        "outage-preset-zero-samples", "quadrature-peak-missed", "quadrature-y-zero"])
+        "outage-preset-zero-samples", "quadrature-peak-missed", "quadrature-y-zero",
+        "quadrature-narrow-far-out"])
 def test_bad_input_is_domain_error(argv, tmp_path, capsys):
     cfg = tmp_path / "chan.json"
     cfg.write_text(json.dumps({"L": 2, "rho": 0.5, "sigma_G": 0.8, "Er_dB": 1e308}))
