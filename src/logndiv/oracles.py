@@ -1,8 +1,8 @@
 """Independent ground-truth computations used for testing and the `verify`
 command: exact closed forms, a log-space quadrature, constrained nearest-point
-searches, and numeric checks of the geometric facts behind the high-SNR
-approximations (tail-integral ratio decay, KKT minimizers, region inclusion,
-implicit-derivative matching).
+searches (exact for SC, one Newton solve from the mean for EGC and MRC), and
+numeric checks of the geometric facts behind the high-SNR approximations
+(tail-ratio decay, KKT minimizers, region inclusion, implicit derivatives).
 
 Nothing here shares formula code with the asymptotics module beyond the
 scalar special-function kernel and the exact one-branch lognormal CDF
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .asymptotics import single_branch_outage_exact
-from .channel import _U64, _check_branches
+from .channel import _U64, ChannelSpec, _check_branches
 from .errors import DomainError, IntegrationFailureError, SearchFailureError
 from .schemes import SchemeKind
 from .special_fn import (_LN_SQRT_2PI, _LOG_NDTR_SERIES_BELOW, _ndtr_tail_series, log_ndtr,
@@ -134,13 +134,9 @@ def sum2_cdf_quadrature(mu_G: float, sigma_G: float, rho: float, y: float) -> fl
     rounding of ln(y/2) - mu_G, which a narrow channel magnifies, limits it:
     where the largest value it allows underflows the result is 0, and where
     it moves the value by more than 1e-10 relative IntegrationFailureError
-    is raised with the estimate."""
-    if not math.isfinite(mu_G):
-        raise DomainError(f"mu_G must be finite, got {mu_G!r}")
-    if not (math.isfinite(sigma_G) and sigma_G > 0.0):
-        raise DomainError(f"sigma_G must be > 0, got {sigma_G!r}")
-    if not (math.isfinite(rho) and 0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1), got {rho!r}")
+    is raised with the estimate. The channel is checked as a ChannelSpec,
+    whose floor on sigma_G keeps that bound finite."""
+    ChannelSpec(L=2, rho=rho, sigma_G=sigma_G, mu_G=mu_G)
     if not math.isfinite(y):
         raise DomainError(f"y must be finite, got {y!r}")
     if y <= 0.0:
@@ -262,18 +258,6 @@ def _sc_nearest(a: float, c: float, mu: np.ndarray) -> Optional[np.ndarray]:
     return best
 
 
-def _newton_starts(closed: np.ndarray, mu: np.ndarray, mu_X: float) -> list[np.ndarray]:
-    """The 8 starts of the EGC/MRC search: the closed form, two shifts of it
-    and five seeded perturbations."""
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20230817)))
-    starts = [closed.copy(), closed - 0.3, mu - abs(mu_X - closed[0])]
-    while len(starts) < 8:
-        starts.append(closed + rng.normal(0.0, 0.25, size=closed.size))
-    return starts
-
-
 def _kkt_newton(x0: np.ndarray, mu: np.ndarray, a: float, scale: float,
                 bound: float) -> Optional[tuple[np.ndarray, float]]:
     """Newton from x0 on the KKT system of min |x - mu|^2 / 2 subject to
@@ -334,10 +318,10 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
 
     SC: the region is its L linear constraints g_l(x) <= ln sqrt(gamma_th)
     (the max in the indicator is not smooth), solved exactly by trying all
-    2^L active sets. EGC/MRC: Newton on the KKT system of the one smooth
-    constraint from 8 starts; the constraint is convex, so every start that
-    converges with a multiplier >= 0 finds the one minimizer. Feasibility of
-    the winner is still checked through region_indicator itself, to 1e-9.
+    2^L active sets. EGC/MRC: one Newton solve of the KKT system of the one
+    smooth constraint from the mean; the constraint is convex, so a solve
+    that converges with a multiplier >= 0 finds the one minimizer. Its
+    feasibility is still checked through region_indicator itself, to 1e-9.
     """
     import numpy as np
 
@@ -349,28 +333,16 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
     mu = np.full(L, float(mu_X))
     c = 0.5 * math.log(gamma_th)
 
-    def objective(x):
-        d = x - mu
-        return float(d @ d)
-
     if scheme is SchemeKind.SC:
-        candidates = [_sc_nearest(a, c, mu)]
+        best = _sc_nearest(a, c, mu)
     elif region_indicator(scheme, mu, a, gamma_th) <= 0.0:
-        candidates = [mu]     # the mean lies in the region
+        best = mu     # the mean lies in the region
     else:
         bound = math.sqrt(L * gamma_th) if scheme is SchemeKind.EGC else gamma_th
         scale = 1.0 if scheme is SchemeKind.EGC else 2.0
-        found = (_kkt_newton(x0, mu, a, scale, bound)
-                 for x0 in _newton_starts(closed, mu, mu_X))
-        candidates = [x for x, lam in filter(None, found) if lam >= 0.0]
-
-    best = None
-    for x in candidates:
-        if x is None or region_indicator(scheme, x, a, gamma_th) > 1e-9:
-            continue
-        if best is None or objective(x) < objective(best):
-            best = x
-    if best is None:
+        found = _kkt_newton(mu, mu, a, scale, bound)
+        best = found[0] if found is not None and found[1] >= 0.0 else None
+    if best is None or region_indicator(scheme, best, a, gamma_th) > 1e-9:
         raise SearchFailureError(
             f"no feasible minimizer found for {scheme.value} (a={a}, L={L}, gamma_th={gamma_th})")
 
@@ -385,7 +357,7 @@ def nearest_point_numeric(scheme: SchemeKind, a: float, L: int, gamma_th: float,
         distance_gap=float(np.linalg.norm(best - closed)),
         active_constraints=active,
         feasibility=region_indicator(scheme, best, a, gamma_th),
-        objective=objective(best))
+        objective=float((best - mu) @ (best - mu)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,15 @@ shape 1/2 the series branch of ln Q sums two parts of order s, not
 The Gaussian log-CDF ln Phi has one evaluator, log_ndtr, on a float:
 math.erfc above -37 and the asymptotic series below it.
 
-numpy is imported inside the functions that build arrays, on their first
-call: the Ding window and _log_poisson above n = 15. The Gaussian tails,
-the Bessel series, the incomplete gamma up to shape 15 and log_ndtr run on
-the standard library alone, and so does every noncentral chi-squared point
-that takes the Bessel series.
+numpy is imported only inside the Ding window and its term step, on their
+first call. The Gaussian tails, the Bessel series, the incomplete gamma at
+every shape and log_ndtr run on the standard library alone, and so does
+every noncentral chi-squared point that takes the Bessel series.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -103,13 +101,6 @@ def gaussian_q_asym(x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"gaussian_q_asym requires x > 0, got {x!r}")
     return math.exp(-0.5 * x * x) / (math.sqrt(2.0 * math.pi) * x)
-
-
-def _is_array(a) -> bool:
-    """Whether a is a numpy array, asked without importing numpy: before
-    numpy is loaded no array can exist."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(a, np.ndarray)
 
 
 def _ndtr_tail_series(a: float) -> float:
@@ -257,57 +248,45 @@ def reg_gamma_lower(s: float, x: float) -> float:
     return math.exp(min(reg_gamma_lower_log(s, x), 0.0))
 
 
-def _log_poisson(n, mean):
-    """ln(e^-mean mean^n / Gamma(n + 1)) for n >= 0 and mean > 0: floats, or
-    numpy arrays that broadcast together. Above n = 15 in Loader's
-    saddle-point form -stirlerr - bd0 - ln(2 pi n)/2, whose rounding error
-    is near eps*|n - mean|, not the eps*n*ln(n) of lgamma."""
-    scalar = not _is_array(n)
-    if scalar and n <= 15.0:
+def _log_poisson(n: float, mean: float) -> float:
+    """ln(e^-mean mean^n / Gamma(n + 1)) for floats n >= 0 and mean > 0.
+    Above n = 15 in Loader's saddle-point form -stirlerr - bd0 - ln(2 pi n)/2,
+    whose rounding error is near eps*|n - mean|, not the eps*n*ln(n) of
+    lgamma; _ncx2_block_terms computes the same form on arrays."""
+    if n <= 15.0:
         return n * math.log(mean) - mean - math.lgamma(n + 1.0)
-    import numpy as np
-
-    if scalar:
-        # The array form below, step for step on one value: numpy's log and
-        # log1p, and float arithmetic, which rounds as numpy's does.
-        d = n - mean
-        ratio = np.log(n) - np.log(mean)
-        if abs(d) < mean:
-            ratio = np.log1p(min(d, mean) / mean)
-        nn = 1.0 / n / n
-        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
-        return float(-stirlerr - (n * ratio - d) - 0.5 * np.log(2.0 * math.pi * n))
-    n, mean = np.asarray(n, dtype=float), np.asarray(mean, dtype=float)
-    small = n <= 15.0
-    any_small = small.any()
-    big = np.where(small, 16.0, n) if any_small else n   # entries at or below 15 are replaced below
-    d = big - mean
+    d = n - mean
     # ln(n / mean), by log1p only near the mean, where the quotient lies in (-1, 1).
-    ratio = np.log(big) - np.log(mean)
-    np.log1p(np.minimum(d, mean) / mean, out=ratio, where=np.abs(d) < mean)
-    bd0 = big * ratio - d
+    ratio = math.log1p(d / mean) if abs(d) < mean else math.log(n) - math.log(mean)
     # ln Gamma(n + 1) - (n + 1/2) ln n + n - ln(2 pi)/2, Stirling's series.
-    nn = 1.0 / big / big   # not 1 / (n n), which overflows for n above 1e154
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / big
-    out = -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * big)
-    if any_small:
-        out[small] = ((n * np.log(mean) - mean)[small]
-                      - [math.lgamma(v + 1.0) for v in n[small].tolist()])
-    return out
+    nn = 1.0 / n / n   # not 1 / (n n), which overflows for n above 1e154
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+    return -stirlerr - (n * ratio - d) - 0.5 * math.log(2.0 * math.pi * n)
 
 
 def _ncx2_block_terms(s: float, y: float, h: float, m0: int, m1: int) -> np.ndarray:
     """ln(d_m C_m) for m0 <= m < m1, the terms of the Ding window, in one
-    numpy pass. C at m0 is one incomplete gamma, ln Q(m0 + 1, h), or the
-    first Poisson term e^-h at m0 = 0, and numpy log-adds the Poisson terms
-    past it. The caller keeps a pass within _NCX2_CHUNK terms."""
+    numpy pass: Loader's form of _log_poisson on arrays, with the entries at
+    or below 15 from the scalar. C at m0 is one incomplete gamma, ln Q(m0 +
+    1, h), or the first Poisson term e^-h at m0 = 0, and numpy log-adds the
+    Poisson terms past it. The caller keeps a pass within _NCX2_CHUNK terms."""
     import numpy as np
 
     # Row 0: the Poisson(h) terms at m; row 1: the gamma density at s + m.
-    m = np.empty((2, m1 - m0))
-    m[0] = np.arange(m0, m1, dtype=float)
-    np.add(m[0], s, out=m[1])
-    terms = _log_poisson(m, np.array((h, y))[:, None])
+    n = np.empty((2, m1 - m0))
+    n[0] = np.arange(m0, m1, dtype=float)
+    np.add(n[0], s, out=n[1])
+    mean = np.array((h, y))[:, None]
+    big = np.where(n <= 15.0, 16.0, n)   # entries at or below 15 are replaced below
+    d = big - mean
+    ratio = np.log(big) - np.log(mean)
+    np.log1p(np.minimum(d, mean) / mean, out=ratio, where=np.abs(d) < mean)
+    nn = 1.0 / big / big
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / big
+    terms = -stirlerr - (big * ratio - d) - 0.5 * np.log(2.0 * math.pi * big)
+    for row, v in ((0, h), (1, y)):   # n rises along a row, so its entries at or below 15 lead it
+        k = int(np.count_nonzero(n[row] <= 15.0))
+        terms[row, :k] = [_log_poisson(u, v) for u in n[row, :k].tolist()]
     ln_p, ln_d = terms
     if m0 > 0:
         ln_p[0] = reg_gamma_upper_log(m0 + 1.0, h)

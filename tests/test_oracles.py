@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from logndiv import oracles, verify_suites
 from logndiv.channel import a_from_rho
-from logndiv.errors import DomainError, IntegrationFailureError
+from logndiv.errors import DomainError, IntegrationFailureError, SearchFailureError
 from logndiv.oracles import (DerivativeCheckReport, LemmaProbe, implicit_derivative_check,
                              lemma_ratio, nearest_point_closed, nearest_point_numeric,
                              region_indicator, sc_outage_exact_indep,
@@ -208,6 +209,16 @@ class TestSum2Quadrature:
         with pytest.raises(IntegrationFailureError, match="too narrow"):
             sum2_cdf_quadrature(1.0, 1e-100, 0.5, math.nextafter(2.0 * math.e, 0.0))
 
+    def test_channel_is_checked_as_a_channel_spec(self):
+        # At the floor of sigma_G, where sigma_G^2 is still a nonzero float,
+        # a = c/s_s is -8e145 and the bound on the move stays finite; at
+        # 1e-300, a * a would overflow and ln P read -inf with no move.
+        y = math.nextafter(2.0 * math.e, 0.0)
+        with pytest.raises(IntegrationFailureError, match="too narrow"):
+            sum2_cdf_quadrature(1.0, 1.6e-162, 0.5, y)
+        with pytest.raises(DomainError, match="sigma_G"):
+            sum2_cdf_quadrature(1.0, 1e-300, 0.5, y)
+
     def test_least_subnormal_y_underflows(self):
         assert sum2_cdf_quadrature(0.0, 0.5477, 0.0, 5e-324) == 0.0
 
@@ -313,18 +324,30 @@ class TestNearestPoint:
         with pytest.raises(DomainError):
             nearest_point_numeric(SchemeKind.SC, A_HALF, 5, 0.1, mu_X=5.0)
 
-    @pytest.mark.parametrize("L", [2, 3])
     @pytest.mark.parametrize("scheme", [SchemeKind.EGC, SchemeKind.MRC])
-    def test_every_start_reaches_the_minimizer_alone(self, scheme, L):
-        rep = nearest_point_numeric(scheme, A_HALF, L, 0.1, mu_X=5.0)
-        mu = np.full(L, 5.0)
-        scale, bound = _smooth_constraint(scheme, L, 0.1)
-        starts = oracles._newton_starts(rep.closed_form, mu, 5.0)
-        assert len(starts) == 8 and np.array_equal(starts[0], rep.closed_form)
-        for x0 in starts[1:]:
-            x, lam = oracles._kkt_newton(x0, mu, A_HALF, scale, bound)
-            assert lam > 0.0
-            assert np.abs(x - rep.numeric).max() < 1e-12
+    def test_one_solve_from_the_mean_reaches_the_closed_form(self, scheme):
+        # Every mean of the grid lies outside the region, so each point is a
+        # solve. At mu_X = 50 the region indicator at the mean overflows to
+        # inf, which still reads outside.
+        for rho, L, gamma_th, mu_X in itertools.product((0.1, 0.5, 0.9), (2, 3, 4),
+                                                        (1e-3, 0.1, 10.0), (0.5, 5.0, 50.0)):
+            with np.errstate(over="ignore"):
+                rep = nearest_point_numeric(scheme, a_from_rho(rho, L), L, gamma_th, mu_X)
+            assert rep.distance_gap < 1e-9, (rho, L, gamma_th, mu_X)
+            assert rep.active_constraints == (0,)
+
+    @pytest.mark.parametrize("found", [None, "negative-multiplier"])
+    @pytest.mark.parametrize("scheme", [SchemeKind.EGC, SchemeKind.MRC])
+    def test_a_failed_solve_is_a_search_failure(self, scheme, found, monkeypatch):
+        # The closed form is feasible, so only its multiplier refuses it.
+        closed = nearest_point_closed(scheme, A_HALF, 2, 0.1)
+
+        def solve(x0, mu, a, scale, bound):
+            return None if found is None else (closed, -1e-3)
+
+        monkeypatch.setattr(oracles, "_kkt_newton", solve)
+        with pytest.raises(SearchFailureError, match=f"minimizer found for {scheme.value}"):
+            nearest_point_numeric(scheme, A_HALF, 2, 0.1, mu_X=5.0)
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_off_diagonal_mean_matches_a_dense_boundary_search(self, scheme):

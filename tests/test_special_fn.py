@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -108,21 +109,34 @@ class TestRegGamma:
             reg_gamma_upper(-2.0, 1.0)
 
 
-    def test_scalar_log_poisson_is_the_array_form_bit_for_bit(self):
-        # A float n above 15 is computed term by term in floats, for the
-        # incomplete-gamma seeds of the noncentral chi-squared windows; it
-        # must round exactly as the array form does on a one-value array.
-        from logndiv.special_fn import _log_poisson
+    @pytest.mark.parametrize("form", ["scalar", "window"])
+    def test_log_poisson_matches_mpmath(self, form):
+        # Loader's form from n = 15 to 1e300, in the scalar and in the Ding
+        # window's arrays, with means near n and far from it. The reference
+        # is 40 digits, with guard digits for the cancellation between n ln
+        # mean and ln Gamma(n + 1). Below n/2, ln(n/mean) is ln n - ln mean,
+        # which loses eps*max(|ln n|, |ln mean|) and so eps*n*ln(n) in the
+        # value. With h = 1e-300, the first Poisson term of a window from m = 0
+        # is e^-h and its first term is the gamma-density row alone.
+        from logndiv.special_fn import _log_poisson, _ncx2_block_terms
+
+        def evaluate(n, mean):
+            if form == "scalar":
+                return _log_poisson(n, mean)
+            return float(_ncx2_block_terms(n, mean, 1e-300, 0, 1)[0])
+
         rng = np.random.default_rng(1992)
-        n = np.concatenate([np.linspace(15.0, 17.0, 401)[1:],
-                            10.0 ** rng.uniform(1.2, 300.0, 4000)])
-        for v in n.tolist():
-            for mean in (v * float(rng.uniform(0.01, 3.0)),
-                         v + float(rng.normal()) * math.sqrt(v),
-                         float(rng.uniform(1e-6, 50.0))):
-                if mean > 0.0 and math.isfinite(mean):
-                    want = float(_log_poisson(np.array([v]), mean)[0])
-                    assert _log_poisson(v, mean) == want, (v, mean)
+        eps = 2.0 ** -52
+        for n in [15.0, 15.5, 16.0, 17.0, *(10.0 ** np.linspace(1.2, 300.0, 60)).tolist()]:
+            for mean in (n, n + float(rng.normal()) * math.sqrt(n), 0.5 * n, 7.0 * n,
+                         1e-3 * n, 1e-6, max(1e-200 * n, 1e-300)):
+                with mp.workdps(40 + int(math.log10(n))):
+                    n_, m_ = mp.mpf(n), mp.mpf(mean)
+                    ref = float(n_ * mp.log(m_) - m_ - mp.loggamma(n_ + 1))
+                cond = 1.0 + abs(ref) + abs(n - mean)
+                if 2.0 * mean <= n:
+                    cond += n * max(abs(math.log(n)), abs(math.log(mean)))
+                assert abs(evaluate(n, mean) - ref) <= 4.0 * eps * cond, (n, mean)
 
 
 class TestNoncentralChi2:
